@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import (
     BerezinLabError,
+    MatrixFileError,
     NotUnitaryError,
     ThetaDegenerateError,
     ZeroEntryError,
 )
 from .matrices import Unitary, haar_random_unitary, load_matrix, validate_unitary
 from .spectral import spectrum
-from .submersion import default_workers, jacobian_report, submersion_sweep
+from .submersion import jacobian_report, submersion_sweep
 from .symbols import (
     WeightedSpace,
     berezin_from_composition,
@@ -169,10 +170,7 @@ def cmd_sweep(args) -> int:
         stream_fh.flush()
 
     try:
-        report = submersion_sweep(
-            args.n, args.samples, args.seed,
-            workers=default_workers(), on_sample=on_sample,
-        )
+        report = submersion_sweep(args.n, args.samples, args.seed, on_sample=on_sample)
     finally:
         if stream_fh:
             stream_fh.close()
@@ -300,10 +298,10 @@ def main(argv=None) -> int:
         parser.error("tol must be positive")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, KeyError) as exc:
+    except MatrixFileError as exc:
         print(f"error: cannot parse input file: {exc}", file=sys.stderr)
         return EXIT_IO
     except NotUnitaryError as exc:

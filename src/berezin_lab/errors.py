@@ -5,6 +5,10 @@ class BerezinLabError(Exception):
     """Base class for all package errors."""
 
 
+class MatrixFileError(BerezinLabError):
+    """A matrix file's content is not a valid matrix file."""
+
+
 class NotSquareError(BerezinLabError):
     pass
 

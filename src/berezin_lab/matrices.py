@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MatrixFileError,
     NotDoublyStochasticError,
     NotSquareError,
     NotUnitaryError,
@@ -136,10 +137,17 @@ def save_matrix(path, m: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        data = json.load(fh)
-    n = int(data["n"])
-    entries = np.array(data["entries"], dtype=float)
-    if entries.shape != (n * n, 2):
-        raise ValueError(f"expected {n * n} [re, im] pairs, got {entries.shape}")
+    """Read a file written by save_matrix.  OSError if it cannot be read,
+    MatrixFileError if its content is not such a file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw)
+        n = data["n"]
+        entries = np.array(data["entries"], dtype=float)
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise MatrixFileError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if type(n) is not int or n < 1 or entries.shape != (n * n, 2):
+        raise MatrixFileError(f"{path}: expected an integer n >= 1 and n^2 [re, im] "
+                              f"pairs, got n = {n!r} and entries of shape {entries.shape}")
     return (entries[:, 0] + 1j * entries[:, 1]).reshape(n, n)

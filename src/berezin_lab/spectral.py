@@ -8,7 +8,7 @@ unitary in the standard sense, then uses ordinary dense eigensolvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from .symbols import BerezinTransform, WeightedSpace
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
 CLUSTER_TOL_FLOOR = 1e-8
+
+
+def kernel_dim(singular_values: np.ndarray, n: int) -> int:
+    """The rank rule both pipelines share: singular values below
+    KERNEL_RANK_TOL * n count toward the kernel."""
+    return int(np.sum(singular_values < KERNEL_RANK_TOL * n))
 
 
 def standardized_matrix(op: BerezinTransform, space: WeightedSpace) -> np.ndarray:
@@ -89,7 +95,6 @@ def spectrum(
     angular clustering is kept as a consistency check (it can merge
     unrelated eigenvalues that drift near 1).
     """
-    n = op.n
     std = standardized_matrix(op, space)
     try:
         eigenvalues = np.linalg.eigvals(std)
@@ -102,26 +107,29 @@ def spectrum(
     best = int(np.argmin(dist_to_one))
     mult_one = clusters[best][1] if dist_to_one[best] <= cluster_tol else 0
 
-    sv = np.linalg.svd(std - np.eye(n * n), compute_uv=False)
-    kernel_dim = int(np.sum(sv < KERNEL_RANK_TOL * n))
-
     return SpectralSummary(
-        n=n,
+        n=op.n,
         eigenvalues=eigenvalues,
         clusters=clusters,
         multiplicity_of_one=mult_one,
-        kernel_method_dim=kernel_dim,
+        kernel_method_dim=_svd_multiplicity(std, op.n, 1.0),
     )
 
 
-def cluster_kernel_dim(
-    op: BerezinTransform, space: WeightedSpace, value: complex
+def eigenvalue_multiplicity(
+    op: BerezinTransform, space: WeightedSpace, value: complex = 1.0
 ) -> int:
-    """SVD-kernel dimension of (B~ - value Id); cross-checks one cluster."""
-    n = op.n
-    std = standardized_matrix(op, space)
-    sv = np.linalg.svd(std - value * np.eye(n * n), compute_uv=False)
-    return int(np.sum(sv < KERNEL_RANK_TOL * n))
+    """SVD-kernel dimension of (B~ - value Id): the multiplicity of value,
+    counted without computing any eigenvalue."""
+    return _svd_multiplicity(standardized_matrix(op, space), op.n, value)
+
+
+def _svd_multiplicity(std: np.ndarray, n: int, value: complex) -> int:
+    try:
+        sv = np.linalg.svd(std - value * np.eye(n * n), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    return kernel_dim(sv, n)
 
 
 @dataclass
@@ -163,7 +171,7 @@ def eigenspace_of_one(
         _, sv, vh = np.linalg.svd(std - np.eye(n * n))
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
-    dim = int(np.sum(sv < KERNEL_RANK_TOL * n))
+    dim = kernel_dim(sv, n)
     w = space.sqrt_weights.ravel()
     basis = []
     for i in range(dim):

@@ -4,19 +4,15 @@ always equals the Berezin multiplicity of the eigenvalue 1."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NotSkewHermitianError, NotTangentError, ZeroEntryError
-from .matrices import ENTRY_FLOOR, Unitary, haar_random_unitary
-from .spectral import spectrum
-from .symbols import WeightedSpace, build_berezin, operator_to_c_symbol, operator_to_d_symbol
-
-JACOBIAN_RANK_TOL = 1e-8  # relative: scaled by sigma_max * n
+from .matrices import Unitary, haar_random_unitary
+from .spectral import eigenvalue_multiplicity, kernel_dim
+from .symbols import WeightedSpace, build_berezin
 
 
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -45,9 +41,10 @@ def tangent_direction(u: Unitary, x: np.ndarray) -> np.ndarray:
     through the squared-modulus map: p'[k, l] = 2 Re((X u)[k, l] conj(u[k, l])).
 
     The result has vanishing row and column sums (it is tangent to the
-    affine space of doubly stochastic matrices)."""
+    affine space of doubly stochastic matrices).  x is one matrix or a
+    stack of them along leading axes."""
     x = np.asarray(x, dtype=complex)
-    if np.max(np.abs(x + x.conj().T)) > 1e-12:
+    if np.max(np.abs(x + np.conj(np.swapaxes(x, -1, -2)))) > 1e-12:
         raise NotSkewHermitianError("X + X* must vanish")
     return 2.0 * np.real((x @ u.matrix) * np.conj(u.matrix))
 
@@ -96,24 +93,19 @@ def jacobian_report(u: Unitary) -> JacobianReport:
     if not u.nonzero_entries:
         raise ZeroEntryError("kernel analysis needs all entries nonzero")
     n = u.n
-    cols = [tangent_direction(u, x).ravel() for x in skew_hermitian_basis(n)]
-    jac = np.stack(cols, axis=1)
+    directions = tangent_direction(u, np.stack(skew_hermitian_basis(n)))
+    jac = directions.reshape(n * n, n * n).T
     sv = np.linalg.svd(jac, compute_uv=False)
-    # entries of the Jacobian are O(1), so the scale never drops below 1;
-    # without the floor an all-zero Jacobian (n = 1) would rank itself
-    smax = max(float(sv[0]), 1.0) if sv.size else 1.0
-    rank = int(np.sum(sv > JACOBIAN_RANK_TOL * smax * n))
-    kernel_dim = n * n - rank
-
-    space = WeightedSpace.from_unitary(u)
-    mult = spectrum(build_berezin(u), space).kernel_method_dim
+    kernel = kernel_dim(sv, n)
+    rank = n * n - kernel
+    mult = eigenvalue_multiplicity(build_berezin(u), WeightedSpace.from_unitary(u))
     return JacobianReport(
         n=n,
         singular_values=sv,
         rank=rank,
-        kernel_dim=kernel_dim,
+        kernel_dim=kernel,
         berezin_multiplicity_of_one=mult,
-        theorem_holds=(kernel_dim == mult),
+        theorem_holds=(kernel == mult),
         is_submersion=(rank == (n - 1) ** 2),
     )
 
@@ -150,57 +142,31 @@ class SweepReport:
         }
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BEREZIN_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def submersion_sweep(
-    n: int,
-    samples: int,
-    seed: int,
-    workers: int | None = None,
-    on_sample=None,
-) -> SweepReport:
+def submersion_sweep(n: int, samples: int, seed: int, on_sample=None) -> SweepReport:
     """Haar-sample unitaries and collect Jacobian reports.
 
-    Each sample gets its own derived seed (seed, index), so results do not
-    depend on scheduling order.  Samples with an entry at or below the
-    entry floor are skipped and counted, not perturbed.  on_sample, if
-    given, is called with (index, JacobianReport or None) as results
-    complete (streaming hook for the CLI)."""
+    Each sample gets its own derived seed (seed, index), so a sample's
+    result does not depend on the others.  Samples with an entry at or
+    below the entry floor are skipped and counted, not perturbed.
+    on_sample, if given, is called with (index, JacobianReport or None) as
+    each sample finishes (streaming hook for the CLI)."""
     if n < 2:
         raise ValueError("sweep needs n >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    def run_one(i: int):
-        u = haar_random_unitary(n, [seed, i])
-        if np.min(np.abs(u.matrix)) <= ENTRY_FLOOR:
-            return i, None
-        return i, jacobian_report(u)
-
-    workers = workers or default_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, range(samples)))
-    else:
-        results = [run_one(i) for i in range(samples)]
-
     skipped = 0
     submersive = 0
     violations = 0
     histogram: dict[int, int] = {}
-    kdims = []
-    for i, report in results:
+    for i in range(samples):
+        u = haar_random_unitary(n, [seed, i])
+        report = jacobian_report(u) if u.nonzero_entries else None
         if on_sample is not None:
             on_sample(i, report)
         if report is None:
             skipped += 1
             continue
-        kdims.append(report.kernel_dim)
         histogram[report.kernel_dim] = histogram.get(report.kernel_dim, 0) + 1
         submersive += report.is_submersion
         violations += not report.theorem_holds
@@ -212,6 +178,6 @@ def submersion_sweep(
         submersive_fraction=(submersive / used) if used else 0.0,
         theorem_violations=violations,
         kernel_dim_histogram=histogram,
-        min_kernel_dim=min(kdims) if kdims else 0,
-        max_kernel_dim=max(kdims) if kdims else 0,
+        min_kernel_dim=min(histogram, default=0),
+        max_kernel_dim=max(histogram, default=0),
     )

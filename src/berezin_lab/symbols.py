@@ -14,6 +14,7 @@ numpy's default ravel order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,70 +94,59 @@ def operator_to_d_symbol(u: Unitary, y: np.ndarray) -> np.ndarray:
     return (u.matrix.conj().T @ y).T / np.conj(u.matrix)
 
 
-@dataclass(frozen=True)
 class BerezinTransform:
-    """The Berezin transform as a dense n^2 x n^2 matrix on flattened
-    symbols.  Unitary with respect to the weighted product."""
+    """The Berezin transform of u on symbols: the composition c^-1 o d of
+    the d map with the inverse c map.  Unitary with respect to the weighted
+    product."""
 
-    n: int
-    matrix: np.ndarray
+    def __init__(self, u: Unitary):
+        _require_nonzero(u)
+        self.u = u
+        self.n = u.n
 
     def apply(self, f: np.ndarray) -> np.ndarray:
+        """B f = (u (conj(u) * f)^T u) / u, in O(n^3) per symbol.
+
+        f is one n x n symbol or a stack of them along leading axes."""
         f = np.asarray(f, dtype=complex)
-        if f.shape != (self.n, self.n):
+        if f.shape[-2:] != (self.n, self.n):
             raise DimensionMismatchError(f"symbol shape {f.shape} vs size {self.n}")
-        return (self.matrix @ f.ravel()).reshape(self.n, self.n)
+        m = self.u.matrix
+        return (m @ np.swapaxes(f * np.conj(m), -1, -2) @ m) / m
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense n^2 x n^2 matrix on flattened symbols, from the
+        explicit kernel
+
+            B[(k,l),(k',l')] = u[k,l'] u[k',l] |u[k',l']|^2 / (u[k,l] u[k',l']).
+
+        Built on first read only; apply never needs it."""
+        m = self.u.matrix
+        n = self.n
+        w = np.abs(m) ** 2
+        kernel = (
+            m[:, np.newaxis, np.newaxis, :]          # u[k, l']
+            * m.T[np.newaxis, :, :, np.newaxis]      # u[k', l]
+            * w[np.newaxis, np.newaxis, :, :]        # |u[k', l']|^2
+            / m[:, :, np.newaxis, np.newaxis]        # u[k, l]
+            / m[np.newaxis, np.newaxis, :, :]        # u[k', l']
+        )
+        return kernel.reshape(n * n, n * n)
 
 
 def build_berezin(u: Unitary) -> BerezinTransform:
-    """Materialize the transform from its explicit kernel,
-
-        B[(k,l),(k',l')] = u[k,l'] u[k',l] |u[k',l']|^2 / (u[k,l] u[k',l']).
-
-    This is the production path; berezin_from_composition cross-validates it.
-    """
-    _require_nonzero(u)
-    m = u.matrix
-    n = u.n
-    w = np.abs(m) ** 2
-    kernel = (
-        m[:, np.newaxis, np.newaxis, :]          # u[k, l']
-        * m.T[np.newaxis, :, :, np.newaxis]      # u[k', l]
-        * w[np.newaxis, np.newaxis, :, :]        # |u[k', l']|^2
-        / m[:, :, np.newaxis, np.newaxis]        # u[k, l]
-        / m[np.newaxis, np.newaxis, :, :]        # u[k', l']
-    )
-    return BerezinTransform(n=n, matrix=kernel.reshape(n * n, n * n))
-
-
-def _c_map_matrix(u: Unitary) -> np.ndarray:
-    """The c map as an n^2 x n^2 matrix from flattened symbols to flattened
-    operator matrices."""
-    n = u.n
-    m = u.matrix
-    # row (k, k'), column (k, l): u[k, l] conj(u[k', l])
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n):
-        for kp in range(n):
-            out[k * n + kp, k * n : (k + 1) * n] = m[k, :] * np.conj(m[kp, :])
-    return out
-
-
-def _d_map_matrix(u: Unitary) -> np.ndarray:
-    n = u.n
-    m = u.matrix
-    # row (k, k'), column (k', l): u[k, l] conj(u[k', l])
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n):
-        for kp in range(n):
-            out[k * n + kp, kp * n : (kp + 1) * n] = m[k, :] * np.conj(m[kp, :])
-    return out
+    """The Berezin transform of u (requires all entries nonzero)."""
+    return BerezinTransform(u)
 
 
 def berezin_from_composition(u: Unitary) -> np.ndarray:
-    """Independent construction: solve C . B = D for the transform matrix."""
-    _require_nonzero(u)
-    return np.linalg.solve(_c_map_matrix(u), _d_map_matrix(u))
+    """The transform's n^2 x n^2 matrix obtained by applying c^-1 o d to
+    every unit symbol in one batched call, independent of the explicit
+    kernel formula behind BerezinTransform.matrix."""
+    n = u.n
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return BerezinTransform(u).apply(units).reshape(n * n, n * n).T
 
 
 def e_subspace_basis(n: int) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
+from .spectral import eigenvalue_multiplicity, spectrum
 from .symbols import (
     WeightedSpace,
     build_berezin,
@@ -81,11 +82,12 @@ def check_weyl_relations(n: int) -> float:
     return float(dev)
 
 
-def character_symbol(n: int, r: int, s: int) -> np.ndarray:
+def character_symbol(n: int, r, s) -> np.ndarray:
     """f[k, l] = exp(2 pi i (r k + s l) / n), an eigenfunction of the
-    Fourier-matrix Berezin transform with eigenvalue exp(2 pi i r s / n)."""
+    Fourier-matrix Berezin transform with eigenvalue exp(2 pi i r s / n).
+    Array-valued r and s broadcast in front of the trailing (k, l) axes."""
     k = np.arange(n)
-    return unit_root(n, r * k)[:, np.newaxis] * unit_root(n, s * k)[np.newaxis, :]
+    return unit_root(n, np.asarray(r) * k[:, np.newaxis] + np.asarray(s) * k)
 
 
 def invariant_pair_count(n: int) -> int:
@@ -110,17 +112,14 @@ def fourier_eigenfunction_check(n: int, residual_tol: float = 1e-9) -> Character
     """Verify every character symbol is an eigenfunction of the Fourier
     Berezin transform with the predicted unit-root eigenvalue, and compare
     the pair-count oracle against the spectral multiplicity of 1."""
-    from .spectral import spectrum
-
     u = fourier_matrix(n)
     space = WeightedSpace.from_unitary(u)
     b = build_berezin(u)
-    worst = 0.0
-    for r in range(n):
-        for s in range(n):
-            f = character_symbol(n, r, s)
-            worst = max(worst, space.norm(b.apply(f) - unit_root(n, r * s) * f))
-    mult = spectrum(b, space).kernel_method_dim
+    r, s = np.indices((n, n))[..., np.newaxis, np.newaxis]
+    chars = character_symbol(n, r, s)  # [r, s, k, l]
+    residual = b.apply(chars) - unit_root(n, r * s) * chars
+    worst = np.sqrt(np.max(np.sum(np.abs(residual) ** 2 * space.weights, axis=(-2, -1))))
+    mult = eigenvalue_multiplicity(b, space)
     report = CharacterReport(
         n=n,
         max_residual=float(worst),
@@ -147,24 +146,14 @@ def permutation_operator(sigma: np.ndarray) -> np.ndarray:
     return np.eye(len(sigma))[np.argsort(sigma)]
 
 
-def shift_symbol(f: np.ndarray, s: int, t: int) -> np.ndarray:
-    """The translation action on Fourier symbols: result[k, l] = f[k+t, l-s]."""
-    return np.roll(f, shift=(-t, s), axis=(0, 1))
-
-
-def intertwining_deviation(
-    u: Unitary,
-    perm_k: np.ndarray,
-    perm_l: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> float:
-    """Max deviation of a[k] u[g^-1 k, g^-1 l] conj(b[l]) from u[k, l]:
-    zero iff (perm_k, perm_l, a, b) is a symmetry of the matrix."""
-    inv_k = np.argsort(np.asarray(perm_k))
-    inv_l = np.argsort(np.asarray(perm_l))
-    lhs = np.asarray(a)[:, np.newaxis] * u.matrix[np.ix_(inv_k, inv_l)] * np.conj(b)[np.newaxis, :]
-    return float(np.max(np.abs(lhs - u.matrix)))
+def all_shifts(f: np.ndarray) -> np.ndarray:
+    """The translation action on Fourier symbols, every (s, t) at once:
+    result[s, t, k, l] = f[k+t, l-s] (indices mod n)."""
+    n = f.shape[0]
+    i = np.arange(n)
+    rows = (i[:, np.newaxis] + i) % n  # [t, k] -> k + t
+    cols = (i - i[:, np.newaxis]) % n  # [s, l] -> l - s
+    return f[rows[np.newaxis, :, :, np.newaxis], cols[:, np.newaxis, np.newaxis, :]]
 
 
 def check_permutation_equivariance(
@@ -201,10 +190,7 @@ def check_shift_commutation(n: int, trials: int, seed) -> float:
     dev = 0.0
     for _ in range(trials):
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for s in range(n):
-            for t in range(n):
-                rf = shift_symbol(f, s, t)
-                dev = max(dev, np.max(np.abs(b.apply(rf) - shift_symbol(b.apply(f), s, t))))
+        dev = max(dev, np.max(np.abs(b.apply(all_shifts(f)) - all_shifts(b.apply(f)))))
     return float(dev)
 
 
@@ -355,8 +341,6 @@ def verify_symmetric_family_spectrum(
     Predicted values that collide (within match_tol) are merged with summed
     multiplicities rather than reported as failures.
     """
-    from .spectral import spectrum
-
     if n < 3:
         raise NotApplicableError("spectrum table needs n >= 3")
     u = symmetric_family_matrix(n, theta)

@@ -60,6 +60,29 @@ class TestSpectrumCommand:
         path.write_text("{not json")
         assert main(["spectrum", "--matrix-file", str(path)]) == 3
 
+    @pytest.mark.parametrize("content", [
+        "[1, 2, 3]",
+        '{"n": 1, "entries": [["a", "b"]]}',
+        '{"n": 1e400, "entries": [[1, 0]]}',
+        '{"n": 2, "entries": [[1, 0], [0, 0], [0, 0]]}',
+        '{"n": -1, "entries": [[1, 0]]}',
+        '{"n": 1.5, "entries": [[1, 0]]}',
+        '{"entries": [[1, 0]]}',
+        "[" * 100_000,
+        b"\xff\xfe\x00garbage",
+    ])
+    def test_malformed_file_content(self, tmp_path, capsys, content):
+        path = tmp_path / "junk.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main(["spectrum", "--matrix-file", str(path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_directory_as_matrix_file(self, tmp_path):
+        assert main(["spectrum", "--matrix-file", str(tmp_path)]) == 3
+
     def test_csv_format(self, capsys):
         assert main(["spectrum", "--family", "fourier", "--n", "2", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -118,6 +141,13 @@ class TestSweepCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 6
         assert lines[0].startswith("sample,")
+
+    def test_near_threshold_seed_agrees(self, capsys):
+        # sample 21 has a Jacobian singular value of 5.2e-8, just above the
+        # 4e-8 threshold at n = 4; both pipelines must count kernel 7
+        rc = main(["sweep", "--n", "4", "--samples", "25", "--seed", "1511599422"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["kernel_dim_histogram"] == {"7": 25}
 
     def test_zero_samples_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

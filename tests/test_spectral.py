@@ -10,7 +10,7 @@ from berezin_lab import (
     spectrum,
     validate_unitary,
 )
-from berezin_lab.spectral import cluster_kernel_dim
+from berezin_lab.spectral import eigenvalue_multiplicity
 from berezin_lab.symmetry import (
     fourier_matrix,
     invariant_pair_count,
@@ -58,14 +58,14 @@ class TestSpectrum:
         b, space = berezin_and_space(fourier_matrix(n))
         s = spectrum(b, space)
         for rep, mult in s.clusters:
-            assert cluster_kernel_dim(b, space, rep) == mult
+            assert eigenvalue_multiplicity(b, space, rep) == mult
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_clusters_match_svd_kernels_symmetric_family(self, n):
         b, space = berezin_and_space(symmetric_family_matrix(n, np.exp(0.7j)))
         s = spectrum(b, space)
         for rep, mult in s.clusters:
-            assert cluster_kernel_dim(b, space, rep) == mult
+            assert eigenvalue_multiplicity(b, space, rep) == mult
 
     def test_invariant_under_diagonal_phases(self):
         rng = np.random.default_rng(3)

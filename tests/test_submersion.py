@@ -66,6 +66,16 @@ class TestTangentDirection:
         u = haar_random_unitary(2, seed=3)
         with pytest.raises(NotSkewHermitianError):
             tangent_direction(u, np.eye(2, dtype=complex))
+        with pytest.raises(NotSkewHermitianError):
+            tangent_direction(u, np.stack([1j * np.eye(2), np.eye(2)]))
+
+    def test_batched_matches_items(self):
+        rng = np.random.default_rng(13)
+        u = haar_random_unitary(3, seed=13)
+        xs = np.stack([random_skew(rng, 3) for _ in range(5)])
+        batched = tangent_direction(u, xs)
+        for x, p in zip(xs, batched):
+            np.testing.assert_allclose(p, tangent_direction(u, x), atol=1e-14)
 
 
 class TestSymbolPair:
@@ -139,6 +149,14 @@ class TestJacobian:
         v = validate_unitary(kap @ u.matrix @ lam)
         assert jacobian_report(u).kernel_dim == jacobian_report(v).kernel_dim
 
+    def test_computes_no_eigenvalues(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        report = jacobian_report(haar_random_unitary(4, seed=14))
+        assert report.kernel_dim == report.berezin_multiplicity_of_one == 7
+
     def test_rank_kernel_duality(self):
         report = jacobian_report(haar_random_unitary(4, seed=10))
         assert report.rank + report.kernel_dim == 16
@@ -174,9 +192,15 @@ class TestSweep:
         assert report.theorem_violations == 0
 
     def test_deterministic_and_order_independent(self):
-        a = submersion_sweep(3, samples=10, seed=9)
-        b = submersion_sweep(3, samples=10, seed=9, workers=4)
+        streamed = {}
+        a = submersion_sweep(3, samples=10, seed=9, on_sample=streamed.__setitem__)
+        b = submersion_sweep(3, samples=10, seed=9)
         assert a.to_dict() == b.to_dict()
+        # each sample depends only on (seed, index)
+        assert sorted(streamed) == list(range(10))
+        for i, report in streamed.items():
+            alone = jacobian_report(haar_random_unitary(3, seed=[9, i]))
+            assert report.to_dict() == alone.to_dict()
 
     def test_image_in_birkhoff_polytope(self):
         for i in range(20):

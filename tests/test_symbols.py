@@ -185,6 +185,23 @@ class TestBerezin:
         with pytest.raises(ZeroEntryError):
             build_berezin(validate_unitary(np.eye(2)))
 
+    def test_batched_apply_matches_items_and_dense_matrix(self):
+        rng = np.random.default_rng(22)
+        u = haar_random_unitary(3, seed=22)
+        b = build_berezin(u)
+        stack = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        out = b.apply(stack)
+        assert out.shape == stack.shape
+        assert "matrix" not in vars(b)  # apply never builds the dense matrix
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(out[idx], b.apply(stack[idx]), atol=1e-13)
+            np.testing.assert_allclose(out[idx].ravel(), b.matrix @ stack[idx].ravel(), atol=1e-12)
+
+    def test_apply_rejects_wrong_symbol_shape(self):
+        b = build_berezin(haar_random_unitary(3, seed=23))
+        with pytest.raises(DimensionMismatchError):
+            b.apply(np.ones((2, 3, 2)))
+
 
 class TestESubspace:
     def test_n1_single_constant(self):

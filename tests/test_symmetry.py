@@ -8,17 +8,16 @@ from berezin_lab import (
     d_symbol_to_operator,
     e_subspace_basis,
     fourier_matrix,
-    haar_random_unitary,
     isotypic_projectors,
     symmetric_family_matrix,
 )
 from berezin_lab.errors import NotApplicableError, ThetaDegenerateError
 from berezin_lab.symmetry import (
+    all_shifts,
     check_permutation_equivariance,
     check_shift_commutation,
     check_weyl_relations,
     fourier_eigenfunction_check,
-    intertwining_deviation,
     isotypic_bases,
     permute_symbol,
     phase_operator,
@@ -114,23 +113,13 @@ class TestShiftCommutation:
         assert check_shift_commutation(3, trials=5, seed=5) < 1e-10
         assert check_shift_commutation(5, trials=3, seed=6) < 1e-10
 
-
-class TestIntertwining:
-    def test_symmetric_family_is_permutation_invariant(self):
-        # trivial phase functions reduce the symmetry condition to
-        # invariance of the matrix under simultaneous permutation
-        u = symmetric_family_matrix(4, 1j)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            sigma = rng.permutation(4)
-            dev = intertwining_deviation(u, sigma, sigma, np.ones(4), np.ones(4))
-            assert dev < 1e-15
-
-    def test_detects_broken_symmetry(self):
-        u = haar_random_unitary(4, seed=8)
-        sigma = np.array([1, 0, 2, 3])
-        dev = intertwining_deviation(u, sigma, sigma, np.ones(4), np.ones(4))
-        assert dev > 1e-3
+    def test_all_shifts_are_the_translates(self):
+        n = 4
+        f = np.arange(n * n).reshape(n, n)
+        shifts = all_shifts(f)
+        for s in range(n):
+            for t in range(n):
+                np.testing.assert_array_equal(shifts[s, t], np.roll(f, shift=(-t, s), axis=(0, 1)))
 
 
 class TestIsotypicDecomposition:
