@@ -1,8 +1,11 @@
 """Command-line front end.
 
+Each command takes only the flags it reads, spelled in full.
+
 Exit codes are a stable contract:
   0  success
-  1  usage error (bad flags, bad theta, samples < 1, ...)
+  1  usage error (a flag the command does not take, an abbreviated flag,
+     bad theta, samples < 1, ...)
   2  invariant violation / failed check
   3  input file missing or unparseable
   4  input matrix not unitary
@@ -52,6 +55,8 @@ EXIT_INVARIANT = 2
 EXIT_IO = 3
 EXIT_NOT_UNITARY = 4
 EXIT_ZERO_ENTRY = 5
+
+THETA_HELP = "'re,im' or 'angle:<radians>'"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,66 +183,54 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if report.theorem_violations == 0 else EXIT_INVARIANT
 
 
-def _verify_checks(ns, theta_text, tol, seed):
-    """Yield (name, n, deviation-or-None, limit, status) rows for the full
-    property suite."""
+def _verify_checks(n, theta_text, tol, seed):
+    """Yield (name, deviation, limit) for each check of the full property
+    suite at size n; tol, if not None, replaces every check's limit."""
     rng = np.random.default_rng(seed)
 
     def limit(default):
         return tol if tol is not None else default
 
-    for n in ns:
-        u = haar_random_unitary(n, rng.integers(2**63))
-        space = WeightedSpace.from_unitary(u)
-        dev = 0.0
-        cdev = 0.0
-        for _ in range(10):
-            f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            cf, cg = c_symbol_to_operator(u, f), c_symbol_to_operator(u, g)
-            df, dg = d_symbol_to_operator(u, f), d_symbol_to_operator(u, g)
-            hs_c = np.trace(cf @ cg.conj().T)
-            hs_d = np.trace(df @ dg.conj().T)
-            dev = max(dev, abs(hs_c - space.inner(f, g)), abs(hs_d - space.inner(f, g)))
-            cdev = max(cdev, np.max(np.abs(cf.conj().T - d_symbol_to_operator(u, np.conj(f)))))
-        yield "isometry", n, dev, limit(1e-10)
-        yield "conjugation", n, cdev, limit(1e-12)
+    u = haar_random_unitary(n, rng.integers(2**63))
+    space = WeightedSpace.from_unitary(u)
+    dev = 0.0
+    cdev = 0.0
+    for _ in range(10):
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cf, cg = c_symbol_to_operator(u, f), c_symbol_to_operator(u, g)
+        df, dg = d_symbol_to_operator(u, f), d_symbol_to_operator(u, g)
+        hs_c = np.trace(cf @ cg.conj().T)
+        hs_d = np.trace(df @ dg.conj().T)
+        dev = max(dev, abs(hs_c - space.inner(f, g)), abs(hs_d - space.inner(f, g)))
+        cdev = max(cdev, np.max(np.abs(cf.conj().T - d_symbol_to_operator(u, np.conj(f)))))
+    yield "isometry", dev, limit(1e-10)
+    yield "conjugation", cdev, limit(1e-12)
 
-        consistency = np.max(np.abs(build_berezin(u).matrix - berezin_from_composition(u)))
-        yield "berezin-consistency", n, float(consistency), limit(1e-9)
+    consistency = np.max(np.abs(build_berezin(u).matrix - berezin_from_composition(u)))
+    yield "berezin-consistency", float(consistency), limit(1e-9)
 
-        yield "weyl", n, check_weyl_relations(n), limit(1e-12)
-        char = fourier_eigenfunction_check(n)
-        yield "fourier-eigenfunctions", n, char.max_residual, limit(1e-9)
-        yield "fourier-shifts", n, check_shift_commutation(n, 3, rng.integers(2**63)), limit(1e-10)
+    yield "weyl", check_weyl_relations(n), limit(1e-12)
+    yield "fourier-eigenfunctions", fourier_eigenfunction_check(n).max_residual, limit(1e-9)
+    yield "fourier-shifts", check_shift_commutation(n, 3, rng.integers(2**63)), limit(1e-10)
 
-        if n >= 3:
-            theta = parse_theta(theta_text)
-            equi = check_permutation_equivariance(n, theta, 10, rng.integers(2**63))
-            yield "permutation-equivariance", n, equi, limit(1e-10)
-            table = verify_symmetric_family_spectrum(n, theta)
-            yield "spectrum-table", n, (0.0 if table.all_match else 1.0), 0.5
+    if n >= 3:
+        theta = parse_theta(theta_text)
+        equi = check_permutation_equivariance(n, theta, 10, rng.integers(2**63))
+        yield "permutation-equivariance", equi, limit(1e-10)
+        table = verify_symmetric_family_spectrum(n, theta)
+        yield "spectrum-table", (0.0 if table.all_match else 1.0), 0.5
 
 
 def cmd_verify_all(args) -> int:
-    ns = [args.n] if args.n else [2, 3, 4, 5]
+    n = args.n
     rows = []
-    failures = 0
-    degenerate = 0
-    for n in ns:
-        try:
-            for name, nn, dev, lim in _verify_checks([n], args.theta, args.tol_override, args.seed):
-                ok = dev <= lim
-                failures += not ok
-                rows.append((name, nn, dev, lim, "pass" if ok else "FAIL"))
-        except ThetaDegenerateError as exc:
-            degenerate += 1
-            rows.append(("example2-checks", n, float("nan"), float("nan"), f"theta degenerate: {exc}"))
+    try:
+        for name, dev, lim in _verify_checks(n, args.theta, args.tol_override, args.seed):
+            rows.append((name, n, dev, lim, "pass" if dev <= lim else "FAIL"))
+    except ThetaDegenerateError as exc:
+        rows.append(("example2-checks", n, float("nan"), float("nan"), f"theta degenerate: {exc}"))
 
-    width = max(len(r[0]) for r in rows)
-    lines = [f"{'check':<{width}}  n  max deviation   limit        status"]
-    for name, n, dev, lim, status in rows:
-        lines.append(f"{name:<{width}}  {n}  {dev:<14.3e}  {lim:<11.1e}  {status}")
     if args.format == "json":
         _emit(_json([
             {"check": r[0], "n": r[1], "deviation": None if np.isnan(r[2]) else r[2],
@@ -245,45 +238,49 @@ def cmd_verify_all(args) -> int:
             for r in rows
         ]), args.output)
     else:
+        width = max(len(r[0]) for r in rows)
+        lines = [f"{'check':<{width}}  n  max deviation   limit        status"]
+        for name, n, dev, lim, status in rows:
+            lines.append(f"{name:<{width}}  {n}  {dev:<14.3e}  {lim:<11.1e}  {status}")
         _emit("\n".join(lines), args.output)
-    return EXIT_OK if failures == 0 and degenerate == 0 else EXIT_INVARIANT
+    return EXIT_OK if all(r[4] == "pass" for r in rows) else EXIT_INVARIANT
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="berezin-lab", description=__doc__,
+    parser = _Parser(prog="berezin-lab", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_family=True):
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--n", type=int, default=3)
-        p.add_argument("--theta", default="0,1", help="'re,im' or 'angle:<radians>'")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write report here instead of stdout")
-        if with_family:
-            p.add_argument("--family", choices=["fourier", "example2", "haar"], default=None)
-            p.add_argument("--matrix-file", default=None)
+        return p
 
-    p = sub.add_parser("spectrum", help="Berezin spectrum of a matrix or family")
-    common(p)
-    p.set_defaults(func=cmd_spectrum)
+    def matrix_input(p):
+        p.add_argument("--family", choices=["fourier", "example2", "haar"], default=None)
+        p.add_argument("--matrix-file", default=None)
+        p.add_argument("--theta", default="0,1", help=THETA_HELP)
+        p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("theorem-check", help="Jacobian kernel vs Berezin multiplicity")
-    common(p)
-    p.set_defaults(func=cmd_theorem_check)
+    p = command("spectrum", cmd_spectrum, "Berezin spectrum of a matrix or family")
+    matrix_input(p)
+    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
-    p = sub.add_parser("sweep", help="Haar sweep of the kernel/multiplicity check")
-    common(p, with_family=False)
+    p = command("theorem-check", cmd_theorem_check, "Jacobian kernel vs Berezin multiplicity")
+    matrix_input(p)
+
+    p = command("sweep", cmd_sweep, "Haar sweep of the kernel/multiplicity check")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--per-sample", default=None, help="stream per-sample CSV here")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify-all", help="run the full property suite")
-    common(p, with_family=False)
+    p = command("verify-all", cmd_verify_all, "run the full property suite")
+    p.add_argument("--theta", default="0,1", help=THETA_HELP)
+    p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--tol-override", type=float, default=None,
                    help="replace every check's tolerance (diagnostic)")
-    p.set_defaults(func=cmd_verify_all)
     return parser
 
 
@@ -294,7 +291,7 @@ def main(argv=None) -> int:
         parser.error("samples must be >= 1")
     if args.n < 1:
         parser.error("n must be >= 1")
-    if args.tol <= 0:
+    if getattr(args, "tol", 1.0) <= 0:
         parser.error("tol must be positive")
     try:
         return args.func(args)

@@ -156,9 +156,7 @@ def _real_span_reduce(columns: np.ndarray, dim: int) -> list[np.ndarray]:
     return [q[:, i] for i in range(keep)]
 
 
-def eigenspace_of_one(
-    op: BerezinTransform, space: WeightedSpace, tol: float = CLUSTER_TOL_FLOOR
-) -> FixedSpace:
+def eigenspace_of_one(op: BerezinTransform, space: WeightedSpace) -> FixedSpace:
     """Basis of ker(B - Id), orthonormal in the weighted product.
 
     The eigenspace is closed under complex conjugation, so over the reals

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSkewHermitianError, NotTangentError, ZeroEntryError
 from .matrices import Unitary, haar_random_unitary
@@ -43,10 +42,15 @@ def tangent_direction(u: Unitary, x: np.ndarray) -> np.ndarray:
     The result has vanishing row and column sums (it is tangent to the
     affine space of doubly stochastic matrices).  x is one matrix or a
     stack of them along leading axes."""
+    return 2.0 * np.real((_skew_hermitian(x) @ u.matrix) * np.conj(u.matrix))
+
+
+def _skew_hermitian(x: np.ndarray) -> np.ndarray:
+    """x as a complex array, checked to satisfy X + X* = 0."""
     x = np.asarray(x, dtype=complex)
     if np.max(np.abs(x + np.conj(np.swapaxes(x, -1, -2)))) > 1e-12:
         raise NotSkewHermitianError("X + X* must vanish")
-    return 2.0 * np.real((x @ u.matrix) * np.conj(u.matrix))
+    return x
 
 
 def symbol_pair_of_direction(u: Unitary, u_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +117,10 @@ def jacobian_report(u: Unitary) -> JacobianReport:
 def finite_difference_direction(u: Unitary, x: np.ndarray, h: float) -> np.ndarray:
     """One-sided difference quotient of the squared-modulus map along the
     curve t -> exp(tX) u; first-order accurate, used to validate the
-    analytic differential."""
-    curve = scipy.linalg.expm(h * np.asarray(x, dtype=complex)) @ u.matrix
+    analytic differential.  exp(hX) = V diag(exp(i h lambda)) V* from the
+    eigendecomposition of the Hermitian -iX, exact only for skew-Hermitian X."""
+    lam, v = np.linalg.eigh(-1j * _skew_hermitian(x))
+    curve = (v * np.exp(1j * h * lam)) @ v.conj().T @ u.matrix
     return (np.abs(curve) ** 2 - np.abs(u.matrix) ** 2) / h
 
 

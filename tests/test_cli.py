@@ -1,9 +1,13 @@
 import cmath
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
 from berezin_lab.cli import main, parse_theta
 
@@ -181,3 +185,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--n", "not-a-number"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--format", "csv"],
+    ["sweep", "--theta", "0,1"],
+    ["sweep", "--tol", "1e-8"],
+    ["theorem-check", "--format", "csv"],
+    ["verify-all", "--tol", "1e-8"],
+    ["verify-all", "--format", "csv"],
+    ["sweep", "--samp", "3"],
+], ids=" ".join)
+def test_flag_not_taken_is_usage_error(argv, capsys):
+    # verify-all --tol would resolve to --tol-override if prefixes were accepted
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import berezin_lab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(berezin_lab.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

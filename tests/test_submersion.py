@@ -176,6 +176,12 @@ class TestFiniteDifferences:
             ratios.append(e4 / e5)
         assert all(8.0 <= r <= 12.0 for r in ratios)
 
+    def test_rejects_non_skew_direction(self):
+        # the eigh exponential is exact only for skew-Hermitian X
+        u = haar_random_unitary(3, seed=11)
+        with pytest.raises(NotSkewHermitianError):
+            finite_difference_direction(u, np.ones((3, 3)), 1e-4)
+
 
 class TestSweep:
     def test_n2_always_submersive(self):
