@@ -5,6 +5,7 @@ from .errors import (
     BerezinLabError,
     DimensionMismatchError,
     EigensolverFailure,
+    InvariantViolation,
     MatrixFileError,
     NotApplicableError,
     NotDoublyStochasticError,

@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Each command takes only the flags it reads, spelled in full.
+Each command takes only the flags it reads, spelled in full; spectrum and
+theorem-check also reject a flag their input source does not read (--theta
+outside example2, --seed outside haar, --n or --family with --matrix-file).
 
 Exit codes are a stable contract:
   0  success
-  1  usage error (a flag the command does not take, an abbreviated flag,
-     bad theta, samples < 1, ...)
+  1  usage error (a flag the command or its input does not take, an
+     abbreviated flag, bad theta, a tolerance not positive and finite,
+     samples < 1, ...)
   2  invariant violation / failed check
   3  input file missing or unparseable
   4  input matrix not unitary
@@ -18,12 +21,14 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import (
     BerezinLabError,
+    InvariantViolation,
     MatrixFileError,
     NotUnitaryError,
     ThetaDegenerateError,
@@ -68,6 +73,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def parse_theta(text: str) -> complex:
     """"angle:x" gives exp(ix) (unit modulus by construction); "re,im" is
     accepted when within 1e-8 of the unit circle and normalized onto it."""
@@ -94,25 +109,50 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _load_input_matrix(args) -> Unitary:
-    if args.matrix_file:
-        m = load_matrix(args.matrix_file)
-        return validate_unitary(m, tol=args.tol)
-    if args.family == "fourier":
-        return fourier_matrix(args.n)
-    if args.family == "example2":
-        return symmetric_family_matrix(args.n, parse_theta(args.theta))
-    if args.family == "haar":
-        return haar_random_unitary(args.n, args.seed)
-    raise ValueError("need --matrix-file or --family {fourier, example2, haar}")
+# the flags each input source reads; spectrum reads --tol with every source
+INPUT_FLAGS = {
+    "matrix-file": ("tol",),
+    "fourier": ("n",),
+    "example2": ("n", "theta"),
+    "haar": ("n", "seed"),
+}
+INPUT_DEFAULTS = {"n": 3, "seed": 0, "theta": "0,1", "tol": 1e-8}
+
+
+def _input_flag(args, flag):
+    value = getattr(args, flag)
+    return INPUT_DEFAULTS[flag] if value is None else value
+
+
+def _load_input_matrix(args, also_reads=()) -> Unitary:
+    """The matrix named by --matrix-file or --family.  A flag that neither
+    the chosen source nor the command (also_reads) reads is a usage error,
+    not a value dropped unread."""
+    if args.matrix_file and args.family:
+        raise ValueError("give --matrix-file or --family, not both")
+    source = "matrix-file" if args.matrix_file else args.family
+    if source is None:
+        raise ValueError("need --matrix-file or --family {fourier, example2, haar}")
+    unread = [f"--{flag}" for flag in INPUT_DEFAULTS
+              if getattr(args, flag) is not None
+              and flag not in INPUT_FLAGS[source] + tuple(also_reads)]
+    if unread:
+        raise ValueError(f"{source} input does not take {', '.join(unread)}")
+    if source == "matrix-file":
+        return validate_unitary(load_matrix(args.matrix_file), tol=_input_flag(args, "tol"))
+    n = _input_flag(args, "n")
+    if source == "fourier":
+        return fourier_matrix(n)
+    if source == "example2":
+        return symmetric_family_matrix(n, parse_theta(_input_flag(args, "theta")))
+    return haar_random_unitary(n, _input_flag(args, "seed"))
 
 
 def cmd_spectrum(args) -> int:
-    u = _load_input_matrix(args)
+    u = _load_input_matrix(args, also_reads=("tol",))
     if not u.nonzero_entries:
         raise ZeroEntryError("spectrum needs a matrix with nonzero entries")
-    space = WeightedSpace.from_unitary(u)
-    summary = spectrum(build_berezin(u), space, tol=args.tol)
+    summary = spectrum(build_berezin(u), tol=_input_flag(args, "tol"))
     try:
         summary.check()
     except ValueError as exc:
@@ -121,10 +161,8 @@ def cmd_spectrum(args) -> int:
         return EXIT_INVARIANT
 
     if args.format == "csv":
-        reps = np.array([rep for rep, _ in summary.clusters])
         rows = ["re,im,modulus,cluster_id"]
-        for z in summary.eigenvalues:
-            cid = int(np.argmin(np.abs(reps - z)))
+        for z, cid in zip(summary.eigenvalues, summary.cluster_ids):
             rows.append(f"{z.real:.17g},{z.imag:.17g},{abs(z):.17g},{cid}")
         _emit("\n".join(rows), args.output)
     elif args.format == "text":
@@ -260,10 +298,14 @@ def build_parser() -> _Parser:
         return p
 
     def matrix_input(p):
+        # None marks a flag not given, so _load_input_matrix can reject the
+        # ones its source does not read; INPUT_DEFAULTS fills in the rest
+        p.set_defaults(n=None, seed=None)
         p.add_argument("--family", choices=["fourier", "example2", "haar"], default=None)
         p.add_argument("--matrix-file", default=None)
-        p.add_argument("--theta", default="0,1", help=THETA_HELP)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--theta", default=None, help=f"{THETA_HELP} (example2 only)")
+        p.add_argument("--tol", type=_positive_float, default=None,
+                       help="unitarity tolerance of --matrix-file; spectrum's cluster tolerance")
 
     p = command("spectrum", cmd_spectrum, "Berezin spectrum of a matrix or family")
     matrix_input(p)
@@ -279,7 +321,7 @@ def build_parser() -> _Parser:
     p = command("verify-all", cmd_verify_all, "run the full property suite")
     p.add_argument("--theta", default="0,1", help=THETA_HELP)
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--tol-override", type=float, default=None,
+    p.add_argument("--tol-override", type=_positive_float, default=None,
                    help="replace every check's tolerance (diagnostic)")
     return parser
 
@@ -289,10 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         parser.error("samples must be >= 1")
-    if args.n < 1:
+    if args.n is not None and args.n < 1:
         parser.error("n must be >= 1")
-    if getattr(args, "tol", 1.0) <= 0:
-        parser.error("tol must be positive")
     try:
         return args.func(args)
     except OSError as exc:
@@ -307,6 +347,9 @@ def main(argv=None) -> int:
     except ZeroEntryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_ENTRY
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ValueError, BerezinLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,3 +49,7 @@ class NotApplicableError(BerezinLabError):
 
 class EigensolverFailure(BerezinLabError):
     pass
+
+
+class InvariantViolation(BerezinLabError):
+    """A construction broke one of its own invariants."""

@@ -1,22 +1,37 @@
 """Spectral decomposition of the Berezin transform and multiplicity
-counting for the eigenvalue 1.
+counting for its eigenvalues.
 
-The transform is unitary only in the weighted product, so everything here
-first conjugates by W = diag(sqrt weights) to reach a matrix that is
-unitary in the standard sense, then uses ordinary dense eigensolvers.
+The transform is unitary only in the weighted product.  Conjugating by
+W = diag(|u_kl|) gives the standardized matrix
+
+    S[(k,l),(k',l')] = p[k,l] p[k',l'] u[k,l'] u[k',l],   p = |u| / u,
+
+which is unitary in the standard product and symmetric, S = S^T.  Writing
+S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
+X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
+S q_j = (a_j + i b_j) q_j.  Everything here works from that structure:
+eigenvalues from one real symmetric eigendecomposition, kernels from real
+SVDs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigensolverFailure
-from .symbols import BerezinTransform, WeightedSpace
+from .symbols import BerezinTransform
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
 CLUSTER_TOL_FLOOR = 1e-8
+# X + MIX Y has the eigenvalue a + MIX b = sec(1) cos(theta - 1) on the
+# eigenvector of e^{i theta}, so two eigenvalues share it only when their
+# angles sum to 2 mod 2 pi, which no two roots of unity do
+MIX = math.tan(1.0)
+RUN_GAP = 1e-6  # eigenvalues of X + MIX Y closer than this form one run
+RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 
 
 def kernel_dim(singular_values: np.ndarray, n: int) -> int:
@@ -25,10 +40,16 @@ def kernel_dim(singular_values: np.ndarray, n: int) -> int:
     return int(np.sum(singular_values < KERNEL_RANK_TOL * n))
 
 
-def standardized_matrix(op: BerezinTransform, space: WeightedSpace) -> np.ndarray:
-    """W B W^-1, unitary in the standard Hermitian product."""
-    w = space.sqrt_weights.ravel()
-    return (op.matrix * w[:, np.newaxis]) / w[np.newaxis, :]
+def standardized_matrix(op: BerezinTransform) -> np.ndarray:
+    """S = W B W^-1, unitary in the standard Hermitian product, built from
+    its symmetric formula (never from op.matrix)."""
+    m = op.u.matrix
+    n = op.n
+    p = np.abs(m) / m
+    s = m[:, np.newaxis, np.newaxis, :] * m.T[np.newaxis, :, :, np.newaxis]
+    s *= p[:, :, np.newaxis, np.newaxis]
+    s *= p
+    return s.reshape(n * n, n * n)
 
 
 @dataclass
@@ -36,6 +57,7 @@ class SpectralSummary:
     n: int
     eigenvalues: np.ndarray
     clusters: list  # (representative complex value, multiplicity)
+    cluster_ids: np.ndarray  # index into clusters of each eigenvalue
     multiplicity_of_one: int
     kernel_method_dim: int
 
@@ -68,26 +90,89 @@ class SpectralSummary:
         }
 
 
-def cluster_eigenvalues(values: np.ndarray, tol: float) -> list:
+def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
     """Greedy angular clustering: sort by argument, open a new cluster when
-    the next point is farther than tol from the running representative, and
-    finally merge the wrap-around pair if needed."""
+    the next point is farther than tol from the running mean, and finally
+    merge the wrap-around pair if needed.
+
+    Returns the (mean, size) of each cluster and each value's cluster index."""
     order = np.argsort(np.angle(values))
-    vals = values[order]
-    clusters: list[list[complex]] = []
-    for z in vals:
-        if clusters and abs(z - np.mean(clusters[-1])) <= tol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    if len(clusters) > 1 and abs(np.mean(clusters[0]) - np.mean(clusters[-1])) <= tol:
-        clusters[0].extend(clusters.pop())
-    return [(complex(np.mean(c)), len(c)) for c in clusters]
+    sums: list[complex] = []
+    counts: list[int] = []
+    sorted_ids = np.empty(len(values), dtype=int)
+    for i, z in enumerate(values[order].tolist()):
+        if not sums or abs(z - sums[-1] / counts[-1]) > tol:
+            sums.append(0j)
+            counts.append(0)
+        sums[-1] += z
+        counts[-1] += 1
+        sorted_ids[i] = len(sums) - 1
+    if len(sums) > 1 and abs(sums[0] / counts[0] - sums[-1] / counts[-1]) <= tol:
+        sums[0] += sums.pop()
+        counts[0] += counts.pop()
+        sorted_ids[sorted_ids == len(sums)] = 0
+    ids = np.empty_like(sorted_ids)
+    ids[order] = sorted_ids
+    return [(s / c, c) for s, c in zip(sums, counts)], ids
 
 
-def spectrum(
-    op: BerezinTransform, space: WeightedSpace, tol: float = CLUSTER_TOL_FLOOR
-) -> SpectralSummary:
+def _eigenvalues(s: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric unitary S, in the order of the
+    eigenvalues mu of X + MIX Y.
+
+    A column q of eigh(X + MIX Y) is a joint eigenvector of X and Y unless
+    its mu is shared; it gives b = q^T Y q and a = mu - MIX b.  Within a
+    run of mu closer than RUN_GAP whose columns are not eigenvectors of S,
+    the run's columns span an invariant subspace, and the small matrix
+    Q_run^T S Q_run carries those eigenvalues.  A true degenerate
+    eigenspace has eigenvector columns and never takes that branch."""
+    mixed = MIX * s.imag
+    mixed += s.real
+    try:
+        mu, q = np.linalg.eigh(mixed)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    del mixed  # one n^4 buffer fewer at peak
+    yq = np.ascontiguousarray(s.imag) @ q
+    b = np.einsum("ij,ij->j", q, yq)
+    values = (mu - MIX * b) + 1j * b
+    # with M = X + MIX Y, (X - a) q = (M - mu) q - MIX (Y - b) q, and eigh
+    # leaves (M - mu) q at rounding level, so
+    # ||(S - lambda) q|| = hypot(1, MIX) ||(Y - b) q||
+    yq -= q * b
+    residual = math.hypot(1.0, MIX) * np.linalg.norm(yq, axis=0)
+    run = np.concatenate([[0], np.cumsum(np.diff(mu) > RUN_GAP)])
+    for r in np.unique(run[residual > RESIDUAL_TOL]):
+        cols = np.flatnonzero(run == r)
+        if cols.size > 1:
+            qr = q[:, cols]
+            try:
+                values[cols] = np.linalg.eigvals(qr.T @ (s @ qr))
+            except np.linalg.LinAlgError as exc:
+                raise EigensolverFailure(str(exc)) from exc
+    return values
+
+
+def _kernel_svd(s: np.ndarray, value: complex, compute_uv: bool = False):
+    """SVD of the real 2N x N stack [X - Re(value); Y - Im(value)].
+
+    Its singular values are |lambda_j - value|, those of S - value, so it
+    has the kernel of S - value, with real right singular vectors."""
+    value = complex(value)
+    size = s.shape[0]
+    stacked = np.stack([s.real, s.imag])
+    diag = np.arange(size)
+    stacked[0, diag, diag] -= value.real
+    stacked[1, diag, diag] -= value.imag
+    try:
+        return np.linalg.svd(
+            stacked.reshape(2 * size, size), full_matrices=False, compute_uv=compute_uv
+        )
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+
+
+def spectrum(op: BerezinTransform, *, tol: float = CLUSTER_TOL_FLOOR) -> SpectralSummary:
     """All n^2 eigenvalues of the transform, clustered, with two
     independent estimates of the multiplicity of 1.
 
@@ -95,14 +180,11 @@ def spectrum(
     angular clustering is kept as a consistency check (it can merge
     unrelated eigenvalues that drift near 1).
     """
-    std = standardized_matrix(op, space)
-    try:
-        eigenvalues = np.linalg.eigvals(std)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    std = standardized_matrix(op)
+    eigenvalues = _eigenvalues(std)
 
     cluster_tol = max(tol, CLUSTER_TOL_FLOOR)
-    clusters = cluster_eigenvalues(eigenvalues, cluster_tol)
+    clusters, cluster_ids = cluster_eigenvalues(eigenvalues, cluster_tol)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
     best = int(np.argmin(dist_to_one))
     mult_one = clusters[best][1] if dist_to_one[best] <= cluster_tol else 0
@@ -111,83 +193,45 @@ def spectrum(
         n=op.n,
         eigenvalues=eigenvalues,
         clusters=clusters,
+        cluster_ids=cluster_ids,
         multiplicity_of_one=mult_one,
-        kernel_method_dim=_svd_multiplicity(std, op.n, 1.0),
+        kernel_method_dim=kernel_dim(_kernel_svd(std, 1.0), op.n),
     )
 
 
-def eigenvalue_multiplicity(
-    op: BerezinTransform, space: WeightedSpace, value: complex = 1.0
-) -> int:
+def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
     """SVD-kernel dimension of (B~ - value Id): the multiplicity of value,
     counted without computing any eigenvalue."""
-    return _svd_multiplicity(standardized_matrix(op, space), op.n, value)
-
-
-def _svd_multiplicity(std: np.ndarray, n: int, value: complex) -> int:
-    try:
-        sv = np.linalg.svd(std - value * np.eye(n * n), compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    return kernel_dim(sv, n)
+    return kernel_dim(_kernel_svd(standardized_matrix(op), value), op.n)
 
 
 @dataclass
 class FixedSpace:
-    """Orthonormal basis (in the weighted product) of the eigenvalue-1
-    eigenspace, with its split into real and purely imaginary parts."""
+    """Real-valued basis, orthonormal in the weighted product, of the
+    eigenvalue-1 eigenspace.  The eigenspace is closed under complex
+    conjugation, so the same functions times i form a basis of purely
+    imaginary eigenfunctions."""
 
     basis: list
-    real_basis: list
-    imaginary_basis: list
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def real_basis(self) -> list:
+        return self.basis
 
-def _real_span_reduce(columns: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Orthonormal real basis of the span of the given real columns,
-    truncated at the expected dimension."""
-    if columns.size == 0:
-        return []
-    q, s, _ = np.linalg.svd(columns, full_matrices=False)
-    keep = min(dim, int(np.sum(s > 1e-10 * max(s[0], 1.0))))
-    return [q[:, i] for i in range(keep)]
+    @property
+    def imaginary_basis(self) -> list:
+        return [1j * f for f in self.basis]
 
 
-def eigenspace_of_one(op: BerezinTransform, space: WeightedSpace) -> FixedSpace:
-    """Basis of ker(B - Id), orthonormal in the weighted product.
-
-    The eigenspace is closed under complex conjugation, so over the reals
-    it splits into real-valued and purely imaginary eigenfunctions, each of
-    the full complex dimension; both real bases are returned.
-    """
+def eigenspace_of_one(op: BerezinTransform) -> FixedSpace:
+    """Basis of ker(B - Id), orthonormal in the weighted product, from the
+    real right singular vectors of the stacked kernel matrix."""
     n = op.n
-    std = standardized_matrix(op, space)
-    try:
-        _, sv, vh = np.linalg.svd(std - np.eye(n * n))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    _, sv, vh = _kernel_svd(standardized_matrix(op), 1.0, compute_uv=True)
     dim = kernel_dim(sv, n)
-    w = space.sqrt_weights.ravel()
-    basis = []
-    for i in range(dim):
-        v = np.conj(vh[n * n - 1 - i])  # right-singular vectors of smallest sv
-        basis.append((v / w).reshape(n, n))
-
-    # the eigenspace is conjugation-closed, so (f + conj f)/2 and
-    # (f - conj f)/2 stay inside it; their real spans give the real-valued
-    # and (after the i factor) purely imaginary eigenfunctions
-    if dim:
-        real_cols = np.stack(
-            [np.real(f).ravel() * w for f in basis]
-            + [np.imag(f).ravel() * w for f in basis],
-            axis=1,
-        )
-    else:
-        real_cols = np.zeros((n * n, 0))
-    real_vecs = _real_span_reduce(real_cols, dim)
-    real_basis = [(c / w).reshape(n, n).astype(complex) for c in real_vecs]
-    imaginary_basis = [1j * (c / w).reshape(n, n) for c in real_vecs]
-    return FixedSpace(basis=basis, real_basis=real_basis, imaginary_basis=imaginary_basis)
+    w = np.abs(op.u.matrix)
+    return FixedSpace(basis=[(v.reshape(n, n) / w).astype(complex) for v in vh[n * n - dim:]])

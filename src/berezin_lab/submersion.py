@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NotSkewHermitianError, NotTangentError, ZeroEntryError
 from .matrices import Unitary, haar_random_unitary
 from .spectral import eigenvalue_multiplicity, kernel_dim
-from .symbols import WeightedSpace, build_berezin
+from .symbols import build_berezin
 
 
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -102,7 +102,7 @@ def jacobian_report(u: Unitary) -> JacobianReport:
     sv = np.linalg.svd(jac, compute_uv=False)
     kernel = kernel_dim(sv, n)
     rank = n * n - kernel
-    mult = eigenvalue_multiplicity(build_berezin(u), WeightedSpace.from_unitary(u))
+    mult = eigenvalue_multiplicity(build_berezin(u))
     return JacobianReport(
         n=n,
         singular_values=sv,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError, ThetaDegenerateError
+from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
 from .spectral import eigenvalue_multiplicity, spectrum
 from .symbols import (
@@ -126,7 +126,7 @@ def fourier_eigenfunction_check(n: int) -> CharacterReport:
         n=n,
         max_residual=float(worst),
         invariant_pair_count=invariant_pair_count(n),
-        multiplicity_of_one=eigenvalue_multiplicity(b, space),
+        multiplicity_of_one=eigenvalue_multiplicity(b),
     )
 
 
@@ -276,7 +276,7 @@ def isotypic_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
               np.zeros((n * n, 0)) for basis in bases]
     full = np.concatenate(blocks, axis=1)
     if full.shape[1] != n * n:
-        raise AssertionError("isotypic bases do not fill the symbol space")
+        raise InvariantViolation("isotypic bases do not fill the symbol space")
     inv = np.linalg.inv(full)
     out = []
     start = 0
@@ -340,10 +340,7 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> TableReport:
     """
     if n < 3:
         raise NotApplicableError("spectrum table needs n >= 3")
-    u = symmetric_family_matrix(n, theta)
-    space = WeightedSpace.from_unitary(u)
-    b = build_berezin(u)
-    summary = spectrum(b, space)
+    summary = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
 
     merged: list[list] = []  # [value, multiplicity, was_merged]
     for value, mult in predicted_clusters(n, theta):

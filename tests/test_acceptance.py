@@ -101,9 +101,7 @@ def test_criterion_4_fourier_spectrum():
     eig_dev = 0.0
     for n in range(2, 9):
         expected_counts[n] = invariant_pair_count(n)  # enumeration oracle
-        u = fourier_matrix(n)
-        space = WeightedSpace.from_unitary(u)
-        s = spectrum(build_berezin(u), space)
+        s = spectrum(build_berezin(fourier_matrix(n)))
         observed[n] = s.kernel_method_dim
         want = sorted(
             [complex(unit_root(n, (r * c) % n)) for r in range(n) for c in range(n)],

@@ -9,7 +9,9 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
+from berezin_lab import cli
 from berezin_lab.cli import main, parse_theta
+from berezin_lab.errors import InvariantViolation
 
 
 class TestThetaParsing:
@@ -210,3 +212,71 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "fourier", "--n", "3", "--theta", "garbage"],
+    ["spectrum", "--family", "fourier", "--n", "3", "--seed", "4"],
+    ["spectrum", "--family", "example2", "--n", "3", "--seed", "4"],
+    ["spectrum", "--family", "haar", "--n", "3", "--theta", "0,1"],
+    ["spectrum", "--matrix-file", "{f3}", "--n", "7"],
+    ["spectrum", "--matrix-file", "{f3}", "--n", "3"],
+    ["spectrum", "--matrix-file", "{f3}", "--family", "haar"],
+    ["spectrum", "--matrix-file", "{f3}", "--seed", "1"],
+    ["spectrum", "--matrix-file", "{f3}", "--theta", "0,1"],
+    ["spectrum", "--n", "3"],
+    ["theorem-check", "--family", "haar", "--n", "3", "--tol", "1e-6"],
+    ["theorem-check", "--family", "fourier", "--n", "3", "--theta", "0,1"],
+], ids=" ".join)
+def test_value_the_input_does_not_read_is_usage_error(argv, tmp_path, capsys):
+    f3 = tmp_path / "f3.json"
+    save_matrix(f3, np.fft.fft(np.eye(3)) / np.sqrt(3))
+    assert main([a.format(f3=f3) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--matrix-file", "{f3}", "--tol", "1e-6", "--format", "text"],
+    ["spectrum", "--family", "haar", "--n", "3", "--seed", "2", "--tol", "1e-6"],
+    ["spectrum", "--family", "example2", "--n", "3", "--theta", "angle:1.0"],
+    ["theorem-check", "--matrix-file", "{f3}", "--tol", "1e-6"],
+], ids=" ".join)
+def test_values_the_input_reads_are_taken(argv, tmp_path):
+    f3 = tmp_path / "f3.json"
+    save_matrix(f3, np.fft.fft(np.eye(3)) / np.sqrt(3))
+    assert main([a.format(f3=f3) for a in argv]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--n", "2", f"--tol-override={value}"] for value in
+    ("nan", "inf", "-inf", "0", "-1e-3", "garbage")
+] + [["spectrum", "--family", "fourier", f"--tol={value}"] for value in ("nan", "inf", "-1")],
+    ids=" ".join)
+def test_tolerance_must_be_positive_and_finite(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "positive finite" in capsys.readouterr().err
+
+
+def test_invariant_violation_exits_2(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("isotypic bases do not fill the symbol space")
+
+    monkeypatch.setattr(cli, "spectrum", broken)
+    assert main(["spectrum", "--family", "fourier", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "isotypic bases" in err and "Traceback" not in err
+
+
+def test_csv_cluster_ids_match_clusters(capsys):
+    assert main(["spectrum", "--family", "fourier", "--n", "4"]) == 0
+    clusters = json.loads(capsys.readouterr().out)["clusters"]
+    assert main(["spectrum", "--family", "fourier", "--n", "4", "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    for re_, im, _, cid in rows:
+        rep = clusters[int(cid)]
+        assert abs(complex(float(re_), float(im)) - complex(rep["re"], rep["im"])) <= 1e-8
+    counts = np.bincount([int(r[3]) for r in rows], minlength=len(clusters))
+    assert counts.tolist() == [c["multiplicity"] for c in clusters]

@@ -11,7 +11,13 @@ from berezin_lab import (
     isotypic_projectors,
     symmetric_family_matrix,
 )
-from berezin_lab.errors import NotApplicableError, ThetaDegenerateError
+from berezin_lab import symmetry
+from berezin_lab.errors import (
+    BerezinLabError,
+    InvariantViolation,
+    NotApplicableError,
+    ThetaDegenerateError,
+)
 from berezin_lab.symmetry import (
     all_shifts,
     check_permutation_equivariance,
@@ -210,3 +216,10 @@ class TestIsotypicDecomposition:
     def test_small_n_rejected(self):
         with pytest.raises(NotApplicableError):
             isotypic_projectors(2)
+
+    def test_incomplete_bases_raise_package_error(self, monkeypatch):
+        full = isotypic_bases(4)
+        monkeypatch.setattr(symmetry, "isotypic_bases", lambda n: (*full[:3], full[3][:-1]))
+        with pytest.raises(InvariantViolation, match="do not fill") as exc:
+            isotypic_projectors(4)
+        assert isinstance(exc.value, BerezinLabError)
