@@ -2,7 +2,8 @@
 
 Each command takes only the flags it reads, spelled in full; spectrum and
 theorem-check also reject a flag their input source does not read (--theta
-outside example2, --seed outside haar, --n or --family with --matrix-file).
+outside example2, --seed outside haar, --tol without --matrix-file, --n or
+--family with --matrix-file).
 
 Exit codes are a stable contract:
   0  success
@@ -31,11 +32,10 @@ from .errors import (
     InvariantViolation,
     MatrixFileError,
     NotUnitaryError,
-    ThetaDegenerateError,
     ZeroEntryError,
 )
 from .matrices import Unitary, haar_random_unitary, load_matrix, validate_unitary
-from .spectral import spectrum
+from .spectral import spectrum, standardized_matrix
 from .submersion import jacobian_report, submersion_sweep
 from .symbols import (
     WeightedSpace,
@@ -47,6 +47,7 @@ from .symbols import (
 from .symmetry import (
     check_permutation_equivariance,
     check_shift_commutation,
+    check_theta,
     check_weyl_relations,
     fourier_eigenfunction_check,
     fourier_matrix,
@@ -109,7 +110,7 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-# the flags each input source reads; spectrum reads --tol with every source
+# the flags each input source reads
 INPUT_FLAGS = {
     "matrix-file": ("tol",),
     "fourier": ("n",),
@@ -124,10 +125,9 @@ def _input_flag(args, flag):
     return INPUT_DEFAULTS[flag] if value is None else value
 
 
-def _load_input_matrix(args, also_reads=()) -> Unitary:
-    """The matrix named by --matrix-file or --family.  A flag that neither
-    the chosen source nor the command (also_reads) reads is a usage error,
-    not a value dropped unread."""
+def _load_input_matrix(args) -> Unitary:
+    """The matrix named by --matrix-file or --family.  A flag the chosen
+    source does not read is a usage error, not a value dropped unread."""
     if args.matrix_file and args.family:
         raise ValueError("give --matrix-file or --family, not both")
     source = "matrix-file" if args.matrix_file else args.family
@@ -135,7 +135,7 @@ def _load_input_matrix(args, also_reads=()) -> Unitary:
         raise ValueError("need --matrix-file or --family {fourier, example2, haar}")
     unread = [f"--{flag}" for flag in INPUT_DEFAULTS
               if getattr(args, flag) is not None
-              and flag not in INPUT_FLAGS[source] + tuple(also_reads)]
+              and flag not in INPUT_FLAGS[source]]
     if unread:
         raise ValueError(f"{source} input does not take {', '.join(unread)}")
     if source == "matrix-file":
@@ -149,10 +149,7 @@ def _load_input_matrix(args, also_reads=()) -> Unitary:
 
 
 def cmd_spectrum(args) -> int:
-    u = _load_input_matrix(args, also_reads=("tol",))
-    if not u.nonzero_entries:
-        raise ZeroEntryError("spectrum needs a matrix with nonzero entries")
-    summary = spectrum(build_berezin(u), tol=_input_flag(args, "tol"))
+    summary = spectrum(build_berezin(_load_input_matrix(args)))
     try:
         summary.check()
     except ValueError as exc:
@@ -221,7 +218,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if report.theorem_violations == 0 else EXIT_INVARIANT
 
 
-def _verify_checks(n, theta_text, tol, seed):
+def _verify_checks(n, theta, tol, seed):
     """Yield (name, deviation, limit) for each check of the full property
     suite at size n; tol, if not None, replaces every check's limit."""
     rng = np.random.default_rng(seed)
@@ -245,7 +242,9 @@ def _verify_checks(n, theta_text, tol, seed):
     yield "isometry", dev, limit(1e-10)
     yield "conjugation", cdev, limit(1e-12)
 
-    consistency = np.max(np.abs(build_berezin(u).matrix - berezin_from_composition(u)))
+    w = np.abs(u.matrix).ravel()
+    composed = w[:, np.newaxis] * berezin_from_composition(u) / w[np.newaxis, :]
+    consistency = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
     yield "berezin-consistency", float(consistency), limit(1e-9)
 
     yield "weyl", check_weyl_relations(n), limit(1e-12)
@@ -253,7 +252,6 @@ def _verify_checks(n, theta_text, tol, seed):
     yield "fourier-shifts", check_shift_commutation(n, 3, rng.integers(2**63)), limit(1e-10)
 
     if n >= 3:
-        theta = parse_theta(theta_text)
         equi = check_permutation_equivariance(n, theta, 10, rng.integers(2**63))
         yield "permutation-equivariance", equi, limit(1e-10)
         table = verify_symmetric_family_spectrum(n, theta)
@@ -262,17 +260,13 @@ def _verify_checks(n, theta_text, tol, seed):
 
 def cmd_verify_all(args) -> int:
     n = args.n
-    rows = []
-    try:
-        for name, dev, lim in _verify_checks(n, args.theta, args.tol_override, args.seed):
-            rows.append((name, n, dev, lim, "pass" if dev <= lim else "FAIL"))
-    except ThetaDegenerateError as exc:
-        rows.append(("example2-checks", n, float("nan"), float("nan"), f"theta degenerate: {exc}"))
+    theta = check_theta(parse_theta(args.theta))
+    rows = [(name, n, dev, lim, "pass" if dev <= lim else "FAIL")
+            for name, dev, lim in _verify_checks(n, theta, args.tol_override, args.seed)]
 
     if args.format == "json":
         _emit(_json([
-            {"check": r[0], "n": r[1], "deviation": None if np.isnan(r[2]) else r[2],
-             "limit": None if np.isnan(r[3]) else r[3], "status": r[4]}
+            {"check": r[0], "n": r[1], "deviation": r[2], "limit": r[3], "status": r[4]}
             for r in rows
         ]), args.output)
     else:
@@ -305,7 +299,7 @@ def build_parser() -> _Parser:
         p.add_argument("--matrix-file", default=None)
         p.add_argument("--theta", default=None, help=f"{THETA_HELP} (example2 only)")
         p.add_argument("--tol", type=_positive_float, default=None,
-                       help="unitarity tolerance of --matrix-file; spectrum's cluster tolerance")
+                       help="unitarity tolerance of --matrix-file")
 
     p = command("spectrum", cmd_spectrum, "Berezin spectrum of a matrix or family")
     matrix_input(p)

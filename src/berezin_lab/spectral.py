@@ -25,7 +25,7 @@ from .errors import EigensolverFailure
 from .symbols import BerezinTransform
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
-CLUSTER_TOL_FLOOR = 1e-8
+CLUSTER_TOL = 1e-8  # eigenvalues closer than this to a cluster's mean join it
 # X + MIX Y has the eigenvalue a + MIX b = sec(1) cos(theta - 1) on the
 # eigenvector of e^{i theta}, so two eigenvalues share it only when their
 # angles sum to 2 mod 2 pi, which no two roots of unity do
@@ -42,7 +42,7 @@ def kernel_dim(singular_values: np.ndarray, n: int) -> int:
 
 def standardized_matrix(op: BerezinTransform) -> np.ndarray:
     """S = W B W^-1, unitary in the standard Hermitian product, built from
-    its symmetric formula (never from op.matrix)."""
+    its symmetric formula: the package's one explicit Berezin kernel."""
     m = op.u.matrix
     n = op.n
     p = np.abs(m) / m
@@ -172,7 +172,7 @@ def _kernel_svd(s: np.ndarray, value: complex, compute_uv: bool = False):
         raise EigensolverFailure(str(exc)) from exc
 
 
-def spectrum(op: BerezinTransform, *, tol: float = CLUSTER_TOL_FLOOR) -> SpectralSummary:
+def spectrum(op: BerezinTransform) -> SpectralSummary:
     """All n^2 eigenvalues of the transform, clustered, with two
     independent estimates of the multiplicity of 1.
 
@@ -183,11 +183,10 @@ def spectrum(op: BerezinTransform, *, tol: float = CLUSTER_TOL_FLOOR) -> Spectra
     std = standardized_matrix(op)
     eigenvalues = _eigenvalues(std)
 
-    cluster_tol = max(tol, CLUSTER_TOL_FLOOR)
-    clusters, cluster_ids = cluster_eigenvalues(eigenvalues, cluster_tol)
+    clusters, cluster_ids = cluster_eigenvalues(eigenvalues, CLUSTER_TOL)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
     best = int(np.argmin(dist_to_one))
-    mult_one = clusters[best][1] if dist_to_one[best] <= cluster_tol else 0
+    mult_one = clusters[best][1] if dist_to_one[best] <= CLUSTER_TOL else 0
 
     return SpectralSummary(
         n=op.n,

@@ -14,7 +14,6 @@ numpy's default ravel order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,26 +113,6 @@ class BerezinTransform:
         m = self.u.matrix
         return (m @ np.swapaxes(f * np.conj(m), -1, -2) @ m) / m
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense n^2 x n^2 matrix on flattened symbols, from the
-        explicit kernel
-
-            B[(k,l),(k',l')] = u[k,l'] u[k',l] |u[k',l']|^2 / (u[k,l] u[k',l']).
-
-        Built on first read only; apply never needs it."""
-        m = self.u.matrix
-        n = self.n
-        w = np.abs(m) ** 2
-        kernel = (
-            m[:, np.newaxis, np.newaxis, :]          # u[k, l']
-            * m.T[np.newaxis, :, :, np.newaxis]      # u[k', l]
-            * w[np.newaxis, np.newaxis, :, :]        # |u[k', l']|^2
-            / m[:, :, np.newaxis, np.newaxis]        # u[k, l]
-            / m[np.newaxis, np.newaxis, :, :]        # u[k', l']
-        )
-        return kernel.reshape(n * n, n * n)
-
 
 def build_berezin(u: Unitary) -> BerezinTransform:
     """The Berezin transform of u (requires all entries nonzero)."""
@@ -143,7 +122,7 @@ def build_berezin(u: Unitary) -> BerezinTransform:
 def berezin_from_composition(u: Unitary) -> np.ndarray:
     """The transform's n^2 x n^2 matrix obtained by applying c^-1 o d to
     every unit symbol in one batched call, independent of the explicit
-    kernel formula behind BerezinTransform.matrix."""
+    kernel formula behind spectral.standardized_matrix."""
     n = u.n
     units = np.eye(n * n).reshape(n * n, n, n)
     return BerezinTransform(u).apply(units).reshape(n * n, n * n).T

@@ -24,7 +24,7 @@ from berezin_lab import (
     tangent_direction,
     verify_symmetric_family_spectrum,
 )
-from berezin_lab.spectral import spectrum
+from berezin_lab.spectral import spectrum, standardized_matrix
 from berezin_lab.submersion import finite_difference_direction, skew_hermitian_basis
 from berezin_lab.symmetry import (
     check_permutation_equivariance,
@@ -72,7 +72,9 @@ def test_criterion_2_berezin_consistency():
     for n in (2, 3, 4):
         for trial in range(20):
             u = haar_random_unitary(n, seed=[102, n, trial])
-            dev = np.max(np.abs(build_berezin(u).matrix - berezin_from_composition(u)))
+            w = np.abs(u.matrix).ravel()
+            composed = w[:, None] * berezin_from_composition(u) / w[None, :]
+            dev = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
             worst = max(worst, float(dev))
     elapsed = time.monotonic() - start
     report(

@@ -12,6 +12,7 @@ from berezin_lab import haar_random_unitary, save_matrix
 from berezin_lab import cli
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.errors import InvariantViolation
+from berezin_lab.spectral import standardized_matrix
 
 
 class TestThetaParsing:
@@ -169,8 +170,32 @@ class TestVerifyAllCommand:
 
     def test_degenerate_theta_reported(self, capsys):
         rc = main(["verify-all", "--n", "3", "--theta", "angle:0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: theta must stay away from +-1\n"
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_unparseable_theta_is_usage_error(self, n, capsys):
+        # theta is parsed before any check runs, also at n < 3 where no
+        # check reads it
+        rc = main(["verify-all", "--n", n, "--theta", "garbage"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_consistency_row_guards_standardized_matrix(self, monkeypatch, capsys):
+        def perturbed(op):
+            s = standardized_matrix(op)
+            s[0, 1] += 1e-6
+            return s
+
+        monkeypatch.setattr(cli, "standardized_matrix", perturbed)
+        rc = main(["verify-all", "--n", "3", "--format", "json"])
+        rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
         assert rc == 2
-        assert "degenerate" in capsys.readouterr().out
+        assert rows["berezin-consistency"]["status"] == "FAIL"
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = main(["verify-all", "--n", "3", "--tol-override", "1e-30"])
@@ -225,6 +250,7 @@ def test_cli_import_loads_no_scipy():
     ["spectrum", "--matrix-file", "{f3}", "--seed", "1"],
     ["spectrum", "--matrix-file", "{f3}", "--theta", "0,1"],
     ["spectrum", "--n", "3"],
+    ["spectrum", "--family", "haar", "--n", "3", "--seed", "2", "--tol", "1e-6"],
     ["theorem-check", "--family", "haar", "--n", "3", "--tol", "1e-6"],
     ["theorem-check", "--family", "fourier", "--n", "3", "--theta", "0,1"],
 ], ids=" ".join)
@@ -238,7 +264,6 @@ def test_value_the_input_does_not_read_is_usage_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--matrix-file", "{f3}", "--tol", "1e-6", "--format", "text"],
-    ["spectrum", "--family", "haar", "--n", "3", "--seed", "2", "--tol", "1e-6"],
     ["spectrum", "--family", "example2", "--n", "3", "--theta", "angle:1.0"],
     ["theorem-check", "--matrix-file", "{f3}", "--tol", "1e-6"],
 ], ids=" ".join)

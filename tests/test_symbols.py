@@ -16,6 +16,7 @@ from berezin_lab import (
     operator_to_d_symbol,
     validate_unitary,
 )
+from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symmetry import fourier_matrix
 
 
@@ -122,7 +123,7 @@ class TestOperatorToSymbol:
 class TestBerezin:
     def test_n1_is_identity(self):
         u = haar_random_unitary(1, seed=9)
-        np.testing.assert_allclose(build_berezin(u).matrix, np.eye(1), atol=1e-14)
+        np.testing.assert_allclose(standardized_matrix(build_berezin(u)), np.eye(1), atol=1e-14)
 
     def test_fixes_sum_symbols(self):
         # any f[k, l] = a_k + b_l is a fixed point
@@ -139,14 +140,14 @@ class TestBerezin:
     def test_kernel_matches_composition(self, n):
         for trial in range(5):
             u = haar_random_unitary(n, seed=[11, n, trial])
-            dev = np.max(np.abs(build_berezin(u).matrix - berezin_from_composition(u)))
+            w = np.abs(u.matrix).ravel()
+            composed = w[:, None] * berezin_from_composition(u) / w[None, :]
+            dev = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
             assert dev < 1e-9
 
     def test_unitary_in_weighted_product(self):
         u = haar_random_unitary(4, seed=12)
-        space = WeightedSpace.from_unitary(u)
-        w = space.sqrt_weights.ravel()
-        std = build_berezin(u).matrix * w[:, None] / w[None, :]
+        std = standardized_matrix(build_berezin(u))
         np.testing.assert_allclose(std @ std.conj().T, np.eye(16), atol=1e-9)
 
     def test_preserves_weighted_norm(self):
@@ -173,8 +174,7 @@ class TestBerezin:
         space = WeightedSpace.from_unitary(u)
         b = build_berezin(u)
         w = space.sqrt_weights.ravel()
-        std = b.matrix * w[:, None] / w[None, :]
-        vals, vecs = np.linalg.eig(std)
+        vals, vecs = np.linalg.eig(standardized_matrix(b))
         for i in range(9):
             g = (vecs[:, i] / w).reshape(3, 3)
             theta = vals[i]
@@ -192,10 +192,11 @@ class TestBerezin:
         stack = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
         out = b.apply(stack)
         assert out.shape == stack.shape
-        assert "matrix" not in vars(b)  # apply never builds the dense matrix
+        w = np.abs(u.matrix).ravel()
+        dense = standardized_matrix(b) * w[None, :] / w[:, None]  # W^-1 S W
         for idx in np.ndindex(2, 3):
             np.testing.assert_allclose(out[idx], b.apply(stack[idx]), atol=1e-13)
-            np.testing.assert_allclose(out[idx].ravel(), b.matrix @ stack[idx].ravel(), atol=1e-12)
+            np.testing.assert_allclose(out[idx].ravel(), dense @ stack[idx].ravel(), atol=1e-12)
 
     def test_apply_rejects_wrong_symbol_shape(self):
         b = build_berezin(haar_random_unitary(3, seed=23))
