@@ -27,7 +27,7 @@ from .matrices import (
     validate_doubly_stochastic,
     validate_unitary,
 )
-from .spectral import FixedSpace, SpectralSummary, eigenspace_of_one, spectrum
+from .spectral import SpectralSummary, eigenspace_of_one, spectrum
 from .submersion import (
     JacobianReport,
     SweepReport,

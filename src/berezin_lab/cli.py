@@ -165,7 +165,9 @@ def cmd_spectrum(args) -> int:
     elif args.format == "text":
         lines = [f"n = {summary.n}", f"multiplicity of 1 = {summary.multiplicity_of_one}"]
         for rep, mult in summary.clusters:
-            lines.append(f"  {rep.real:+.12f}{rep.imag:+.12f}i  x{mult}")
+            # + 0.0 turns a part that rounds to -0 into +0
+            re_part, im_part = (round(x, 12) + 0.0 for x in (rep.real, rep.imag))
+            lines.append(f"  {re_part:+.12f}{im_part:+.12f}i  x{mult}")
         _emit("\n".join(lines), args.output)
     else:
         _emit(_json(summary.to_dict()), args.output)
@@ -248,7 +250,7 @@ def _verify_checks(n, theta, tol, seed):
     yield "berezin-consistency", float(consistency), limit(1e-9)
 
     yield "weyl", check_weyl_relations(n), limit(1e-12)
-    yield "fourier-eigenfunctions", fourier_eigenfunction_check(n).max_residual, limit(1e-9)
+    yield "fourier-eigenfunctions", fourier_eigenfunction_check(n), limit(1e-9)
     yield "fourier-shifts", check_shift_commutation(n, 3, rng.integers(2**63)), limit(1e-10)
 
     if n >= 3:

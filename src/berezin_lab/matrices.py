@@ -67,6 +67,13 @@ def validate_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> Unitary:
     return Unitary(matrix=m, nonzero_entries=nonzero)
 
 
+def require_nonzero(u: Unitary) -> None:
+    """Raise ZeroEntryError unless every |u_kl| exceeds ENTRY_FLOOR: the
+    symbol calculus divides by the entries and takes their phases."""
+    if not u.nonzero_entries:
+        raise ZeroEntryError("operation requires all matrix entries nonzero")
+
+
 def haar_random_unitary(n: int, seed) -> Unitary:
     """Draw a Haar-distributed n x n unitary, deterministically from seed.
 
@@ -113,8 +120,7 @@ def equivalence_normal_form(u: Unitary) -> Unitary:
     Idempotent, and constant on equivalence classes, so it detects when two
     unitaries have the same image under the squared-modulus map.
     """
-    if not u.nonzero_entries:
-        raise ZeroEntryError("normal form needs all entries nonzero")
+    require_nonzero(u)
     m = u.matrix
     # right diagonal: make row 0 positive; then left diagonal: make column 0
     # positive (its (0,0) entry is already positive, so row 0 is preserved)

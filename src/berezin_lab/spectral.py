@@ -204,33 +204,14 @@ def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
     return kernel_dim(_kernel_svd(standardized_matrix(op), value), op.n)
 
 
-@dataclass
-class FixedSpace:
-    """Real-valued basis, orthonormal in the weighted product, of the
-    eigenvalue-1 eigenspace.  The eigenspace is closed under complex
-    conjugation, so the same functions times i form a basis of purely
-    imaginary eigenfunctions."""
-
-    basis: list
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def real_basis(self) -> list:
-        return self.basis
-
-    @property
-    def imaginary_basis(self) -> list:
-        return [1j * f for f in self.basis]
-
-
-def eigenspace_of_one(op: BerezinTransform) -> FixedSpace:
-    """Basis of ker(B - Id), orthonormal in the weighted product, from the
-    real right singular vectors of the stacked kernel matrix."""
+def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
+    """Real-valued basis of ker(B - Id), orthonormal in the weighted
+    product, from the real right singular vectors of the stacked kernel
+    matrix.  The eigenspace is closed under complex conjugation, so the
+    same functions times i form a basis of purely imaginary
+    eigenfunctions."""
     n = op.n
     _, sv, vh = _kernel_svd(standardized_matrix(op), 1.0, compute_uv=True)
     dim = kernel_dim(sv, n)
     w = np.abs(op.u.matrix)
-    return FixedSpace(basis=[(v.reshape(n, n) / w).astype(complex) for v in vh[n * n - dim:]])
+    return [(v.reshape(n, n) / w).astype(complex) for v in vh[n * n - dim:]]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSkewHermitianError, NotTangentError, ZeroEntryError
-from .matrices import Unitary, haar_random_unitary
+from .errors import NotSkewHermitianError, NotTangentError
+from .matrices import Unitary, haar_random_unitary, require_nonzero
 from .spectral import eigenvalue_multiplicity, kernel_dim
 from .symbols import build_berezin
 
@@ -57,8 +57,7 @@ def symbol_pair_of_direction(u: Unitary, u_dot: np.ndarray) -> tuple[np.ndarray,
     """The (c-symbol, d-symbol) pair of the skew-Hermitian operator behind
     a tangent direction u_dot: f[k, l] = u_dot[k, l] / u[k, l] and
     g[k, l] = -conj(u_dot[k, l]) / conj(u[k, l]), so f = -conj(g)."""
-    if not u.nonzero_entries:
-        raise ZeroEntryError("symbols need all entries nonzero")
+    require_nonzero(u)
     u_dot = np.asarray(u_dot, dtype=complex)
     x = u_dot @ u.matrix.conj().T
     if np.max(np.abs(x + x.conj().T)) > 1e-10:
@@ -94,8 +93,7 @@ def jacobian_report(u: Unitary) -> JacobianReport:
     (columns indexed by the skew-Hermitian basis), rank it by SVD, and
     compare its kernel dimension with the Berezin multiplicity of 1
     computed by the entirely independent spectral pipeline."""
-    if not u.nonzero_entries:
-        raise ZeroEntryError("kernel analysis needs all entries nonzero")
+    require_nonzero(u)
     n = u.n
     directions = tangent_direction(u, np.stack(skew_hermitian_basis(n)))
     jac = directions.reshape(n * n, n * n).T

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroEntryError
-from .matrices import Unitary
+from .errors import DimensionMismatchError
+from .matrices import Unitary, require_nonzero
 
 
 def _check_same_shape(u: Unitary, f: np.ndarray) -> np.ndarray:
@@ -28,23 +28,16 @@ def _check_same_shape(u: Unitary, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _require_nonzero(u: Unitary) -> None:
-    if not u.nonzero_entries:
-        raise ZeroEntryError("operation requires all matrix entries nonzero")
-
-
 @dataclass(frozen=True)
 class WeightedSpace:
     """The Hermitian structure on symbols with weights |u_kl|^2."""
 
     weights: np.ndarray
-    sqrt_weights: np.ndarray
 
     @classmethod
     def from_unitary(cls, u: Unitary) -> "WeightedSpace":
-        _require_nonzero(u)
-        a = np.abs(u.matrix)
-        return cls(weights=a**2, sqrt_weights=a)
+        require_nonzero(u)
+        return cls(weights=np.abs(u.matrix) ** 2)
 
     @property
     def n(self) -> int:
@@ -81,14 +74,14 @@ def operator_to_c_symbol(u: Unitary, x: np.ndarray) -> np.ndarray:
     Contracting x against the unitary rows gives sum_k' x[k, k'] u[k', l] =
     u[k, l] f[k, l], so no linear solve is needed.
     """
-    _require_nonzero(u)
+    require_nonzero(u)
     x = _check_same_shape(u, x)
     return (x @ u.matrix) / u.matrix
 
 
 def operator_to_d_symbol(u: Unitary, y: np.ndarray) -> np.ndarray:
     """Invert the d map: g[k', l] = (u* y)[l, k'] / conj(u[k', l])."""
-    _require_nonzero(u)
+    require_nonzero(u)
     y = _check_same_shape(u, y)
     return (u.matrix.conj().T @ y).T / np.conj(u.matrix)
 
@@ -99,7 +92,7 @@ class BerezinTransform:
     product."""
 
     def __init__(self, u: Unitary):
-        _require_nonzero(u)
+        require_nonzero(u)
         self.u = u
         self.n = u.n
 
@@ -152,8 +145,6 @@ def e_subspace_basis(n: int) -> list[np.ndarray]:
 def is_skew_c_symbol(u: Unitary, f: np.ndarray, tol: float) -> bool:
     """True iff the operator with c-symbol f is skew-Hermitian, decided in
     symbol space: ||f + B conj(f)||_u <= tol."""
-    _require_nonzero(u)
-    f = _check_same_shape(u, f)
     space = WeightedSpace.from_unitary(u)
-    b = build_berezin(u)
-    return space.norm(f + b.apply(np.conj(f))) <= tol
+    f = _check_same_shape(u, f)
+    return space.norm(f + build_berezin(u).apply(np.conj(f))) <= tol

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
-from .spectral import eigenvalue_multiplicity, spectrum
+from .spectral import spectrum
 from .symbols import (
     WeightedSpace,
     build_berezin,
@@ -97,37 +97,16 @@ def invariant_pair_count(n: int) -> int:
     return sum(1 for r in range(n) for s in range(n) if (r * s) % n == 0)
 
 
-@dataclass
-class CharacterReport:
-    n: int
-    max_residual: float
-    invariant_pair_count: int
-    multiplicity_of_one: int
-
-    @property
-    def counts_agree(self) -> bool:
-        return self.invariant_pair_count == self.multiplicity_of_one
-
-
-def fourier_eigenfunction_check(n: int) -> CharacterReport:
-    """Measure how far each character symbol is from an eigenfunction of
-    the Fourier Berezin transform with the predicted unit-root eigenvalue
-    (the worst weighted-norm residual), and set the pair-count oracle
-    beside the spectral multiplicity of 1.  The caller judges the
-    residual."""
+def fourier_eigenfunction_check(n: int) -> float:
+    """How far each character symbol is from an eigenfunction of the
+    Fourier Berezin transform with the predicted unit-root eigenvalue: the
+    worst weighted-norm residual.  The caller judges it."""
     u = fourier_matrix(n)
     space = WeightedSpace.from_unitary(u)
-    b = build_berezin(u)
     r, s = np.indices((n, n))[..., np.newaxis, np.newaxis]
     chars = character_symbol(n, r, s)  # [r, s, k, l]
-    residual = b.apply(chars) - unit_root(n, r * s) * chars
-    worst = np.sqrt(np.max(np.sum(np.abs(residual) ** 2 * space.weights, axis=(-2, -1))))
-    return CharacterReport(
-        n=n,
-        max_residual=float(worst),
-        invariant_pair_count=invariant_pair_count(n),
-        multiplicity_of_one=eigenvalue_multiplicity(b),
-    )
+    residual = build_berezin(u).apply(chars) - unit_root(n, r * s) * chars
+    return float(np.sqrt(np.max(np.sum(np.abs(residual) ** 2 * space.weights, axis=(-2, -1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +290,6 @@ class TableCluster:
     value: complex
     predicted_multiplicity: int
     observed_multiplicity: int
-    max_deviation: float
-    merged: bool
 
     @property
     def matches(self) -> bool:
@@ -342,33 +319,24 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> TableReport:
         raise NotApplicableError("spectrum table needs n >= 3")
     summary = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
 
-    merged: list[list] = []  # [value, multiplicity, was_merged]
+    merged: list[list] = []  # [value, multiplicity]
     for value, mult in predicted_clusters(n, theta):
         for entry in merged:
             if abs(entry[0] - value) <= TABLE_MATCH_TOL:
                 entry[1] += mult
-                entry[2] = True
                 break
         else:
-            merged.append([value, mult, False])
+            merged.append([value, mult])
 
     reps = np.array([entry[0] for entry in merged])
     assigned = np.argmin(np.abs(summary.eigenvalues[:, np.newaxis] - reps), axis=1)
     clusters = []
-    for idx, (value, mult, was_merged) in enumerate(merged):
+    for idx, (value, mult) in enumerate(merged):
         dists = np.abs(summary.eigenvalues[assigned == idx] - value)
         # only eigenvalues actually within tolerance count toward the cluster
         count = int(np.sum(dists <= TABLE_MATCH_TOL))
-        dev = float(np.max(dists)) if dists.size else 0.0
-        clusters.append(
-            TableCluster(
-                value=complex(value),
-                predicted_multiplicity=mult,
-                observed_multiplicity=count,
-                max_deviation=dev,
-                merged=was_merged,
-            )
-        )
+        clusters.append(TableCluster(value=complex(value), predicted_multiplicity=mult,
+                                     observed_multiplicity=count))
     return TableReport(
         n=n,
         theta=theta,

@@ -9,7 +9,7 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
-from berezin_lab import cli
+from berezin_lab import cli, spectral
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.errors import InvariantViolation
 from berezin_lab.spectral import standardized_matrix
@@ -95,6 +95,17 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "re,im,modulus,cluster_id"
         assert len(lines) == 5  # header + n^2 eigenvalues
+
+    def test_text_format_prints_no_negative_zero(self, capsys):
+        rc = main(["spectrum", "--family", "example2", "--n", "2", "--theta", "angle:1",
+                   "--format", "text"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "n = 2\n"
+            "multiplicity of 1 = 3\n"
+            "  +1.000000000000+0.000000000000i  x3\n"
+            "  -1.000000000000+0.000000000000i  x1\n"
+        )
 
     def test_json_output_deterministic(self, capsys):
         args = ["spectrum", "--family", "haar", "--n", "3", "--seed", "7"]
@@ -196,6 +207,20 @@ class TestVerifyAllCommand:
         rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
         assert rc == 2
         assert rows["berezin-consistency"]["status"] == "FAIL"
+
+    def test_runs_one_kernel_svd(self, monkeypatch, capsys):
+        # the spectrum table's spectrum is the one kernel count; no check
+        # computes a multiplicity that verify-all does not report
+        shapes = []
+        kernel_svd = spectral._kernel_svd
+
+        def counted(s, *args, **kw):
+            shapes.append(s.shape)
+            return kernel_svd(s, *args, **kw)
+
+        monkeypatch.setattr(spectral, "_kernel_svd", counted)
+        assert main(["verify-all", "--n", "3"]) == 0
+        assert shapes == [(9, 9)]
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = main(["verify-all", "--n", "3", "--tol-override", "1e-30"])

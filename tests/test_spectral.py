@@ -94,19 +94,19 @@ class TestEigenspaceOfOne:
         u = haar_random_unitary(4, seed=4)
         b, space = berezin_and_space(u)
         fixed = eigenspace_of_one(b)
-        assert fixed.dim == 7
+        assert len(fixed) == 7
         for f in e_subspace_basis(4):
             # reconstruct f from the returned orthonormal basis
-            proj = sum(space.inner(f, v) * v for v in fixed.basis)
+            proj = sum(space.inner(f, v) * v for v in fixed)
             assert space.norm(f - proj) < 1e-8
 
     def test_fourier_prime_span_equals_e(self):
         u = fourier_matrix(3)
         b, space = berezin_and_space(u)
         fixed = eigenspace_of_one(b)
-        assert fixed.dim == 5
+        assert len(fixed) == 5
         e_cols = np.stack([f.ravel() for f in e_subspace_basis(3)], axis=1)
-        v_cols = np.stack([v.ravel() for v in fixed.basis], axis=1)
+        v_cols = np.stack([v.ravel() for v in fixed], axis=1)
         both = np.concatenate([e_cols, v_cols], axis=1)
         assert np.linalg.matrix_rank(both, tol=1e-8) == 5
 
@@ -114,27 +114,23 @@ class TestEigenspaceOfOne:
         u = haar_random_unitary(3, seed=5)
         b, space = berezin_and_space(u)
         fixed = eigenspace_of_one(b)
-        gram = np.array([[space.inner(f, g) for g in fixed.basis] for f in fixed.basis])
-        np.testing.assert_allclose(gram, np.eye(fixed.dim), atol=1e-10)
+        gram = np.array([[space.inner(f, g) for g in fixed] for f in fixed])
+        np.testing.assert_allclose(gram, np.eye(len(fixed)), atol=1e-10)
 
     def test_conjugates_stay_in_eigenspace(self):
         u = haar_random_unitary(3, seed=6)
         b, space = berezin_and_space(u)
         fixed = eigenspace_of_one(b)
-        for v in fixed.basis:
+        for v in fixed:
             assert space.norm(b.apply(np.conj(v)) - np.conj(v)) < 1e-8
 
     def test_real_imaginary_split(self):
         u = haar_random_unitary(3, seed=7)
         b, space = berezin_and_space(u)
         fixed = eigenspace_of_one(b)
-        assert len(fixed.real_basis) == fixed.dim
-        assert len(fixed.imaginary_basis) == fixed.dim
-        for f in fixed.real_basis:
+        assert len(fixed) == 5
+        for f in fixed:
             assert np.max(np.abs(f.imag)) < 1e-12
-            assert space.norm(b.apply(f) - f) < 1e-8
-        for f in fixed.imaginary_basis:
-            assert np.max(np.abs(f.real)) < 1e-12
             assert space.norm(b.apply(f) - f) < 1e-8
 
 

@@ -10,10 +10,13 @@ from berezin_lab import (
     c_symbol_to_operator,
     d_symbol_to_operator,
     e_subspace_basis,
+    equivalence_normal_form,
     haar_random_unitary,
     is_skew_c_symbol,
+    jacobian_report,
     operator_to_c_symbol,
     operator_to_d_symbol,
+    symbol_pair_of_direction,
     validate_unitary,
 )
 from berezin_lab.spectral import standardized_matrix
@@ -120,6 +123,19 @@ class TestOperatorToSymbol:
             operator_to_c_symbol(validate_unitary(np.eye(3)), np.eye(3))
 
 
+# every entry point that divides by the entries of u or takes their phases;
+# the spectral functions take the guarded BerezinTransform
+ZERO_ENTRY_GUARDED = {
+    "build_berezin": build_berezin,
+    "jacobian_report": jacobian_report,
+    "symbol_pair_of_direction": lambda u: symbol_pair_of_direction(u, np.zeros((2, 2))),
+    "equivalence_normal_form": equivalence_normal_form,
+    "operator_to_c_symbol": lambda u: operator_to_c_symbol(u, np.eye(2)),
+    "operator_to_d_symbol": lambda u: operator_to_d_symbol(u, np.eye(2)),
+    "WeightedSpace.from_unitary": WeightedSpace.from_unitary,
+}
+
+
 class TestBerezin:
     def test_n1_is_identity(self):
         u = haar_random_unitary(1, seed=9)
@@ -173,7 +189,7 @@ class TestBerezin:
         u = haar_random_unitary(3, seed=15)
         space = WeightedSpace.from_unitary(u)
         b = build_berezin(u)
-        w = space.sqrt_weights.ravel()
+        w = np.abs(u.matrix).ravel()
         vals, vecs = np.linalg.eig(standardized_matrix(b))
         for i in range(9):
             g = (vecs[:, i] / w).reshape(3, 3)
@@ -181,9 +197,10 @@ class TestBerezin:
             assert space.norm(b.apply(g) - theta * g) < 1e-8
             assert space.norm(b.apply(np.conj(g)) - theta * np.conj(g)) < 1e-7
 
-    def test_zero_entries_rejected(self):
-        with pytest.raises(ZeroEntryError):
-            build_berezin(validate_unitary(np.eye(2)))
+    @pytest.mark.parametrize("name", ZERO_ENTRY_GUARDED)
+    def test_zero_entries_rejected(self, name):
+        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
+            ZERO_ENTRY_GUARDED[name](validate_unitary(np.eye(2)))
 
     def test_batched_apply_matches_items_and_dense_matrix(self):
         rng = np.random.default_rng(22)

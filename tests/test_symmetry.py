@@ -12,6 +12,7 @@ from berezin_lab import (
     symmetric_family_matrix,
 )
 from berezin_lab import symmetry
+from berezin_lab.spectral import eigenvalue_multiplicity
 from berezin_lab.errors import (
     BerezinLabError,
     InvariantViolation,
@@ -24,6 +25,7 @@ from berezin_lab.symmetry import (
     check_shift_commutation,
     check_weyl_relations,
     fourier_eigenfunction_check,
+    invariant_pair_count,
     isotypic_bases,
     permute_symbol,
     phase_operator,
@@ -67,11 +69,9 @@ class TestWeylRelations:
 class TestFourierEigenfunctions:
     @pytest.mark.parametrize("n,count", [(2, 3), (4, 8), (5, 9)])
     def test_pair_counts_match_multiplicity(self, n, count):
-        rep = fourier_eigenfunction_check(n)
-        assert rep.invariant_pair_count == count
-        assert rep.multiplicity_of_one == count
-        assert rep.counts_agree
-        assert rep.max_residual < 1e-9
+        assert invariant_pair_count(n) == count
+        assert eigenvalue_multiplicity(build_berezin(fourier_matrix(n))) == count
+        assert fourier_eigenfunction_check(n) < 1e-9
 
 
 class TestPermutationEquivariance:
