@@ -9,13 +9,11 @@ actions on symbols, and the structure checks built on them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
-from .spectral import spectrum
+from .spectral import CLUSTER_TOL, cluster_eigenvalues, spectrum
 from .symbols import (
     WeightedSpace,
     build_berezin,
@@ -24,7 +22,6 @@ from .symbols import (
 )
 
 THETA_DEGENERACY_TOL = 1e-8
-TABLE_MATCH_TOL = 1e-8
 
 
 def unit_root(n: int, k) -> complex | np.ndarray:
@@ -40,7 +37,7 @@ def fourier_matrix(n: int) -> Unitary:
 
 def check_theta(theta: complex) -> complex:
     theta = complex(theta)
-    if abs(abs(theta) - 1.0) > 1e-8:
+    if not abs(abs(theta) - 1.0) <= 1e-8:  # also rejects nan
         raise ValueError(f"|theta| must equal 1, got {abs(theta):.6f}")
     if abs(theta - 1.0) < THETA_DEGENERACY_TOL or abs(theta + 1.0) < THETA_DEGENERACY_TOL:
         raise ThetaDegenerateError("theta must stay away from +-1")
@@ -70,17 +67,16 @@ def check_weyl_relations(n: int) -> float:
     Z_s W_r = eps(rs) W_r Z_s, together with the Fourier conjugations
     F* W_r F = Z_{-r} and F* Z_r F = W_r."""
     f = fourier_matrix(n).matrix
-    dev = 0.0
-    for r in range(n):
-        wr = phase_operator(n, r)
-        dev = max(dev, np.max(np.abs(f.conj().T @ wr @ f - shift_operator(n, -r))))
-        dev = max(dev, np.max(np.abs(f.conj().T @ shift_operator(n, r) @ f - wr)))
-        for s in range(n):
-            zs = shift_operator(n, s)
-            dev = max(
-                dev, np.max(np.abs(zs @ wr - unit_root(n, r * s) * wr @ zs))
-            )
-    return float(dev)
+    fh = f.conj().T
+    k = np.arange(n)
+    w = np.stack([phase_operator(n, r) for r in k])  # W_r at [r]
+    z = np.stack([shift_operator(n, s) for s in k])  # Z_s at [s]
+    eps = unit_root(n, np.outer(k, k))[..., np.newaxis, np.newaxis]  # eps(rs) at [s, r]
+    return float(max(
+        np.max(np.abs(fh @ w @ f - z[-k % n])),
+        np.max(np.abs(fh @ z @ f - w)),
+        np.max(np.abs(z[:, np.newaxis] @ w - eps * w @ z[:, np.newaxis])),
+    ))
 
 
 def character_symbol(n: int, r, s) -> np.ndarray:
@@ -285,61 +281,22 @@ def predicted_clusters(n: int, theta: complex) -> list[tuple[complex, int]]:
     ]
 
 
-@dataclass
-class TableCluster:
-    value: complex
-    predicted_multiplicity: int
-    observed_multiplicity: int
+def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
+    """Whether the Berezin spectrum of the symmetric family matches the five
+    predicted clusters, and its kernel count the multiplicity 2n - 1 of 1.
 
-    @property
-    def matches(self) -> bool:
-        return self.observed_multiplicity == self.predicted_multiplicity
-
-
-@dataclass
-class TableReport:
-    n: int
-    theta: complex
-    clusters: list
-    multiplicity_of_one: int
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.matches for c in self.clusters)
-
-
-def verify_symmetric_family_spectrum(n: int, theta: complex) -> TableReport:
-    """Compute the Berezin spectrum of the symmetric family and match it
-    against the five predicted clusters.
-
-    Predicted values that collide (within TABLE_MATCH_TOL) are merged with
-    summed multiplicities rather than reported as failures.
+    Computed and predicted values are grouped together by the one rule
+    `cluster_eigenvalues` applies to every spectrum: the table holds when
+    each group has as many computed as predicted members.  Predictions that
+    collide fall into one group, and empty ones add no member.
     """
     if n < 3:
         raise NotApplicableError("spectrum table needs n >= 3")
     summary = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
-
-    merged: list[list] = []  # [value, multiplicity]
-    for value, mult in predicted_clusters(n, theta):
-        for entry in merged:
-            if abs(entry[0] - value) <= TABLE_MATCH_TOL:
-                entry[1] += mult
-                break
-        else:
-            merged.append([value, mult])
-
-    reps = np.array([entry[0] for entry in merged])
-    assigned = np.argmin(np.abs(summary.eigenvalues[:, np.newaxis] - reps), axis=1)
-    clusters = []
-    for idx, (value, mult) in enumerate(merged):
-        dists = np.abs(summary.eigenvalues[assigned == idx] - value)
-        # only eigenvalues actually within tolerance count toward the cluster
-        count = int(np.sum(dists <= TABLE_MATCH_TOL))
-        clusters.append(TableCluster(value=complex(value), predicted_multiplicity=mult,
-                                     observed_multiplicity=count))
-    return TableReport(
-        n=n,
-        theta=theta,
-        clusters=clusters,
-        multiplicity_of_one=summary.kernel_method_dim,
+    values, mults = zip(*predicted_clusters(n, theta))
+    clusters, ids = cluster_eigenvalues(
+        np.concatenate([summary.eigenvalues, np.repeat(values, mults)]), CLUSTER_TOL
     )
+    computed = np.bincount(ids[: n * n], minlength=len(clusters))
+    predicted = np.bincount(ids[n * n :], minlength=len(clusters))
+    return bool(np.array_equal(computed, predicted) and summary.kernel_method_dim == 2 * n - 1)

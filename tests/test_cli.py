@@ -14,6 +14,9 @@ from berezin_lab.cli import main, parse_theta
 from berezin_lab.errors import InvariantViolation
 from berezin_lab.spectral import standardized_matrix
 
+# a nan or infinite theta is a usage error, not a non-unitary matrix
+NON_FINITE_THETAS = ["nan,0", "angle:nan", "angle:inf", "1,nan"]
+
 
 class TestThetaParsing:
     def test_polar_form(self):
@@ -107,6 +110,14 @@ class TestSpectrumCommand:
             "  -1.000000000000+0.000000000000i  x1\n"
         )
 
+    @pytest.mark.parametrize("theta", NON_FINITE_THETAS)
+    def test_non_finite_theta_is_usage_error(self, theta, capsys):
+        rc = main(["spectrum", "--family", "example2", "--n", "3", "--theta", theta])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_json_output_deterministic(self, capsys):
         args = ["spectrum", "--family", "haar", "--n", "3", "--seed", "7"]
         main(args)
@@ -186,11 +197,15 @@ class TestVerifyAllCommand:
         assert captured.out == ""
         assert captured.err == "error: theta must stay away from +-1\n"
 
-    @pytest.mark.parametrize("n", ["2", "3"])
-    def test_unparseable_theta_is_usage_error(self, n, capsys):
+    @pytest.mark.parametrize(
+        "n, theta",
+        [pytest.param(n, "garbage", id=n) for n in ("2", "3")]
+        + [pytest.param("3", theta, id=theta) for theta in NON_FINITE_THETAS],
+    )
+    def test_unparseable_theta_is_usage_error(self, n, theta, capsys):
         # theta is parsed before any check runs, also at n < 3 where no
         # check reads it
-        rc = main(["verify-all", "--n", n, "--theta", "garbage"])
+        rc = main(["verify-all", "--n", n, "--theta", theta])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -123,7 +123,7 @@ class TestNormalForm:
             )
 
     def test_zero_entry_rejected(self):
-        with pytest.raises(ZeroEntryError):
+        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
             equivalence_normal_form(validate_unitary(np.eye(3)))
 
 

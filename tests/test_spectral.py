@@ -13,7 +13,7 @@ from berezin_lab import (
     spectrum,
     validate_unitary,
 )
-from berezin_lab import spectral
+from berezin_lab import spectral, symmetry
 from berezin_lab.spectral import (
     MIX,
     cluster_eigenvalues,
@@ -23,6 +23,7 @@ from berezin_lab.spectral import (
 from berezin_lab.symmetry import (
     fourier_matrix,
     invariant_pair_count,
+    predicted_clusters,
     symmetric_family_matrix,
     unit_root,
     verify_symmetric_family_spectrum,
@@ -136,32 +137,64 @@ class TestEigenspaceOfOne:
 
 class TestSymmetricFamilyTable:
     def test_n3_theta_i(self):
-        rep = verify_symmetric_family_spectrum(3, 1j)
-        assert rep.multiplicity_of_one == 5
         # clusters come in table order: fixed, the two rational values,
         # conj(theta), -conj(theta)
-        values = [c.value for c in rep.clusters]
-        mults = [c.predicted_multiplicity for c in rep.clusters]
+        values, mults = zip(*predicted_clusters(3, 1j))
         np.testing.assert_allclose(
             values, [1.0, (-4 - 3j) / 5, (-3 + 4j) / 5, -1j, 1j], atol=1e-12
         )
-        assert mults == [5, 1, 2, 1, 0]
-        assert rep.all_match
         # n = 3 leaves the symmetric traceless cluster empty
-        assert any(c.predicted_multiplicity == 0 for c in rep.clusters)
+        assert mults == (5, 1, 2, 1, 0)
+        assert verify_symmetric_family_spectrum(3, 1j) is True
 
     def test_n4_multiplicities(self):
-        rep = verify_symmetric_family_spectrum(4, 1j)
-        mults = sorted(c.predicted_multiplicity for c in rep.clusters)
+        mults = sorted(m for _, m in predicted_clusters(4, 1j))
         assert mults == [1, 2, 3, 3, 7]
         assert sum(mults) == 16
-        assert rep.all_match
+        assert verify_symmetric_family_spectrum(4, 1j) is True
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("theta", [1j, np.exp(2.3j)])
     def test_multiplicity_of_one_is_always_2n_minus_1(self, n, theta):
-        rep = verify_symmetric_family_spectrum(n, theta)
-        assert rep.multiplicity_of_one == 2 * n - 1
+        s = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
+        assert s.multiplicity_of_one == s.kernel_method_dim == 2 * n - 1
+        assert verify_symmetric_family_spectrum(n, theta) is True
+
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_colliding_predictions_merge(self, n):
+        # at Re theta = -1/(n-1) the singleton value equals conj(theta), so
+        # two predicted clusters are one computed cluster
+        theta = complex(-1 / (n - 1), np.sqrt(1 - 1 / (n - 1) ** 2))
+        values = [v for v, _ in predicted_clusters(n, theta)]
+        assert abs(values[1] - values[3]) < 1e-12
+        assert verify_symmetric_family_spectrum(n, theta) is True
+
+    @staticmethod
+    def _patch_spectrum(monkeypatch, change):
+        def patched(op):
+            summary = spectrum(op)
+            change(summary)
+            return summary
+
+        monkeypatch.setattr(symmetry, "spectrum", patched)
+
+    def test_kernel_count_enters_verdict(self, monkeypatch):
+        def add_one(summary):
+            summary.kernel_method_dim += 1
+
+        self._patch_spectrum(monkeypatch, add_one)
+        assert verify_symmetric_family_spectrum(3, 1j) is False
+
+    @pytest.mark.parametrize("angle, holds", [(5e-9, True), (2e-8, False)])
+    def test_moved_eigenvalue(self, monkeypatch, angle, holds):
+        # an eigenvalue of the fixed cluster rotated past CLUSTER_TOL leaves
+        # it one short and opens a cluster with no prediction
+        def rotate_one(summary):
+            i = np.argmin(np.abs(summary.eigenvalues - 1.0))
+            summary.eigenvalues[i] *= np.exp(1j * angle)
+
+        self._patch_spectrum(monkeypatch, rotate_one)
+        assert verify_symmetric_family_spectrum(3, 1j) is holds
 
     def test_degenerate_theta_rejected(self):
         with pytest.raises(ThetaDegenerateError):

@@ -110,7 +110,7 @@ class TestSymbolPair:
 
     def test_rejects_zero_entries(self):
         u = validate_unitary(np.eye(3))
-        with pytest.raises(ZeroEntryError):
+        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
             symbol_pair_of_direction(u, 1j * np.eye(3))
 
 

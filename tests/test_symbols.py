@@ -119,7 +119,7 @@ class TestOperatorToSymbol:
             )
 
     def test_zero_entries_rejected(self):
-        with pytest.raises(ZeroEntryError):
+        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
             operator_to_c_symbol(validate_unitary(np.eye(3)), np.eye(3))
 
 
