@@ -8,7 +8,6 @@ from .errors import (
     InvariantViolation,
     MatrixFileError,
     NotApplicableError,
-    NotDoublyStochasticError,
     NotSkewHermitianError,
     NotSquareError,
     NotTangentError,
@@ -24,7 +23,6 @@ from .matrices import (
     load_matrix,
     save_matrix,
     to_doubly_stochastic,
-    validate_doubly_stochastic,
     validate_unitary,
 )
 from .spectral import SpectralSummary, eigenspace_of_one, spectrum
@@ -56,7 +54,7 @@ from .symmetry import (
     fourier_eigenfunction_check,
     fourier_matrix,
     invariant_pair_count,
-    isotypic_projectors,
+    isotypic_clusters,
     symmetric_family_matrix,
     verify_symmetric_family_spectrum,
 )

@@ -19,10 +19,6 @@ class NotUnitaryError(BerezinLabError):
         super().__init__(f"matrix is not unitary (max deviation {max_deviation:.3e})")
 
 
-class NotDoublyStochasticError(BerezinLabError):
-    pass
-
-
 class ZeroEntryError(BerezinLabError):
     """An entry is too close to zero for a phase or a weight to be defined."""
 

@@ -1,5 +1,5 @@
-"""Dense complex matrices: unitary validation, Haar sampling, doubly
-stochastic validation, and the first-row/first-column phase normal form."""
+"""Dense complex matrices: unitary validation, Haar sampling, the
+squared-modulus map, and the first-row/first-column phase normal form."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     MatrixFileError,
-    NotDoublyStochasticError,
     NotSquareError,
     NotUnitaryError,
     ZeroEntryError,
@@ -18,7 +17,6 @@ from .errors import (
 
 UNITARITY_TOL = 1e-10
 ENTRY_FLOOR = 1e-12
-STOCHASTIC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class Unitary:
 
 @dataclass(frozen=True)
 class DoublyStochastic:
-    """A validated doubly stochastic matrix (real, nonnegative, all row and
-    column sums equal to 1)."""
+    """A doubly stochastic matrix (real, nonnegative, all row and column
+    sums equal to 1): the squared moduli of a validated unitary."""
 
     matrix: np.ndarray
 
@@ -91,26 +89,12 @@ def haar_random_unitary(n: int, seed) -> Unitary:
     return validate_unitary(q)
 
 
-def validate_doubly_stochastic(
-    p: np.ndarray, tol: float = STOCHASTIC_TOL
-) -> DoublyStochastic:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {p.shape}")
-    if np.min(p) < -tol:
-        raise NotDoublyStochasticError(f"negative entry {np.min(p):.3e}")
-    row_dev = np.max(np.abs(p.sum(axis=1) - 1.0))
-    col_dev = np.max(np.abs(p.sum(axis=0) - 1.0))
-    if max(row_dev, col_dev) > tol:
-        raise NotDoublyStochasticError(
-            f"row/column sums deviate from 1 by {max(row_dev, col_dev):.3e}"
-        )
-    return DoublyStochastic(matrix=p)
-
-
 def to_doubly_stochastic(u: Unitary) -> DoublyStochastic:
-    """The squared-modulus map u -> (|u_kl|^2)."""
-    return validate_doubly_stochastic(np.abs(u.matrix) ** 2)
+    """The squared-modulus map u -> (|u_kl|^2).
+
+    Its row and column sums are the diagonals of u u* and u* u, so they
+    equal 1 to within the tolerance u was validated at."""
+    return DoublyStochastic(matrix=np.abs(u.matrix) ** 2)
 
 
 def equivalence_normal_form(u: Unitary) -> Unitary:

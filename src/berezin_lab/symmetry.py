@@ -15,6 +15,7 @@ from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
 from .spectral import CLUSTER_TOL, cluster_eigenvalues, spectrum
 from .symbols import (
+    BerezinTransform,
     WeightedSpace,
     build_berezin,
     c_symbol_to_operator,
@@ -172,94 +173,57 @@ def check_shift_commutation(n: int, trials: int, seed) -> float:
 # isotypic decomposition for the symmetric family
 
 
-def _zero_sum_basis(n: int) -> list[np.ndarray]:
-    """n - 1 vectors spanning {a: sum(a) = 0}."""
-    out = []
-    for i in range(n - 1):
-        v = np.zeros(n)
-        v[i], v[n - 1] = 1.0, -1.0
-        out.append(v)
-    return out
+def isotypic_blocks(n: int) -> list[tuple[np.ndarray, int]]:
+    """The four isotypic blocks of symbols under simultaneous permutation
+    of both indices: for each, a stack of representatives, one per copy of
+    its irreducible representation, and that representation's dimension.
 
-
-def _nullspace_combos(generators: list[np.ndarray], constraint_rows: np.ndarray) -> list[np.ndarray]:
-    """Basis of the span of generators killed by the linear constraints."""
-    gen = np.stack([g.ravel() for g in generators], axis=1)
-    mat = constraint_rows @ gen
-    _, sv, vh = np.linalg.svd(mat)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0))) if sv.size else 0
-    null = vh[rank:].T
-    cols = gen @ null
-    return [c.reshape(generators[0].shape) for c in cols.T]
-
-
-def isotypic_bases(n: int) -> tuple[list, list, list, list]:
-    """Bases of the four invariant subspaces of symbols under simultaneous
-    permutation of both indices:
-
-    1. constants plus multiples of the diagonal indicator (dim 2);
-    2. a_k + b_l + c_k delta_kl with a, b, c summing to zero (dim 3(n-1));
-    3. antisymmetric with vanishing row sums (dim (n-1)(n-2)/2);
-    4. symmetric, zero diagonal, vanishing row sums (dim n(n-3)/2).
+    1. constants and the diagonal indicator, once;
+    2. a_k + b_l + c_k delta_kl with a, b, c summing to zero: a (x) 1,
+       1 (x) a and diag(a) for a = e_0 - e_1, n - 1 times;
+    3. antisymmetric with vanishing row sums: the 3-cycle
+       f[k, k+1 mod 3] = 1 = -f[k+1 mod 3, k], (n-1)(n-2)/2 times;
+    4. symmetric, zero diagonal, vanishing row sums: the 4-cycle with
+       signs +, -, +, - along 0 -> 1 -> 2 -> 3 -> 0, n(n-3)/2 times
+       (only for n >= 4).
     """
     if n < 3:
         raise NotApplicableError("isotypic split needs n >= 3")
-    ones = np.ones((n, n))
-    v1 = [ones, np.eye(n)]
-
-    v2 = []
-    for a in _zero_sum_basis(n):
-        v2.append(np.outer(a, np.ones(n)))
-    for b in _zero_sum_basis(n):
-        v2.append(np.outer(np.ones(n), b))
-    for c in _zero_sum_basis(n):
-        v2.append(np.diag(c))
-
-    row_sums = np.zeros((n, n * n))
-    for k in range(n):
-        row_sums[k, k * n : (k + 1) * n] = 1.0
-
-    anti = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j], m[j, i] = 1.0, -1.0
-            anti.append(m)
-    v3 = _nullspace_combos(anti, row_sums)
-
-    sym = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0
-            sym.append(m)
-    v4 = _nullspace_combos(sym, row_sums) if n > 3 else []
-    return v1, v2, v3, v4
+    a = np.eye(n)[0] - np.eye(n)[1]
+    cycle3 = np.zeros((n, n))
+    cycle3[[0, 1, 2], [1, 2, 0]] = 1.0
+    blocks = [
+        (np.stack([np.ones((n, n)), np.eye(n)]), 1),
+        (np.stack([np.outer(a, np.ones(n)), np.outer(np.ones(n), a), np.diag(a)]), n - 1),
+        ((cycle3 - cycle3.T)[np.newaxis], (n - 1) * (n - 2) // 2),
+    ]
+    if n >= 4:
+        cycle4 = np.zeros((n, n))
+        cycle4[[0, 1, 2, 3], [1, 2, 3, 0]] = 1.0, -1.0, 1.0, -1.0
+        blocks.append(((cycle4 + cycle4.T)[np.newaxis], n * (n - 3) // 2))
+    return blocks
 
 
-def isotypic_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four projectors onto the isotypic subspaces, as n^2 x n^2
-    matrices on flattened symbols.
-
-    The subspaces form a direct sum of the whole symbol space, so each
-    projector is taken along the sum of the other three; that projector is
-    metric-independent and turns out orthogonal in the weighted product of
-    any symmetric-family matrix.
+def isotypic_clusters(b: BerezinTransform) -> list[tuple[complex, int]]:
+    """The transform's eigenvalues with their multiplicities, from one small
+    problem per isotypic block.  A transform that commutes with the
+    permutation action, as the symmetric family's does, acts by Schur's
+    lemma on each block as one small matrix on its representatives,
+    repeated over the representation.  Raises InvariantViolation when an
+    image leaves its block's span.
     """
-    bases = isotypic_bases(n)
-    blocks = [np.stack([b.ravel() for b in basis], axis=1) if basis else
-              np.zeros((n * n, 0)) for basis in bases]
-    full = np.concatenate(blocks, axis=1)
-    if full.shape[1] != n * n:
-        raise InvariantViolation("isotypic bases do not fill the symbol space")
-    inv = np.linalg.inv(full)
     out = []
-    start = 0
-    for blk in blocks:
-        d = blk.shape[1]
-        out.append(blk @ inv[start : start + d])
-        start += d
-    return tuple(out)
+    for reps, times in isotypic_blocks(b.n):
+        basis = reps.reshape(len(reps), -1).T
+        image = b.apply(reps).reshape(len(reps), -1).T
+        small = np.linalg.lstsq(basis, image, rcond=None)[0]
+        residual = np.max(np.abs(basis @ small - image))
+        if not residual <= CLUSTER_TOL:
+            raise InvariantViolation(
+                f"transform leaves an isotypic block (residual {residual:.3e})"
+            )
+        out.extend((complex(v), times) for v in np.linalg.eigvals(small))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +247,26 @@ def predicted_clusters(n: int, theta: complex) -> list[tuple[complex, int]]:
 
 def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     """Whether the Berezin spectrum of the symmetric family matches the five
-    predicted clusters, and its kernel count the multiplicity 2n - 1 of 1.
+    predicted clusters and the table of its isotypic blocks, and its kernel
+    count the multiplicity 2n - 1 of 1.
 
-    Computed and predicted values are grouped together by the one rule
-    `cluster_eigenvalues` applies to every spectrum: the table holds when
-    each group has as many computed as predicted members.  Predictions that
-    collide fall into one group, and empty ones add no member.
+    Computed, predicted and block-derived values are grouped together by
+    the one rule `cluster_eigenvalues` applies to every spectrum: the table
+    holds when each group has as many computed members as predicted ones
+    and as block-derived ones.  Values that collide fall into one group, and
+    empty predictions add no member.
     """
     if n < 3:
         raise NotApplicableError("spectrum table needs n >= 3")
-    summary = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
-    values, mults = zip(*predicted_clusters(n, theta))
-    clusters, ids = cluster_eigenvalues(
-        np.concatenate([summary.eigenvalues, np.repeat(values, mults)]), CLUSTER_TOL
+    b = build_berezin(symmetric_family_matrix(n, theta))
+    summary = spectrum(b)
+    values = [summary.eigenvalues]
+    for table in (predicted_clusters(n, theta), isotypic_clusters(b)):
+        table_values, mults = zip(*table)
+        values.append(np.repeat(table_values, mults))
+    clusters, ids = cluster_eigenvalues(np.concatenate(values), CLUSTER_TOL)
+    computed, *derived = (np.bincount(g, minlength=len(clusters)) for g in ids.reshape(3, n * n))
+    return bool(
+        all(np.array_equal(computed, counts) for counts in derived)
+        and summary.kernel_method_dim == 2 * n - 1
     )
-    computed = np.bincount(ids[: n * n], minlength=len(clusters))
-    predicted = np.bincount(ids[n * n :], minlength=len(clusters))
-    return bool(np.array_equal(computed, predicted) and summary.kernel_method_dim == 2 * n - 1)

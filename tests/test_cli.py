@@ -327,12 +327,12 @@ def test_tolerance_must_be_positive_and_finite(argv, capsys):
 
 def test_invariant_violation_exits_2(monkeypatch, capsys):
     def broken(*args, **kwargs):
-        raise InvariantViolation("isotypic bases do not fill the symbol space")
+        raise InvariantViolation("transform leaves an isotypic block (residual 1.750e+00)")
 
     monkeypatch.setattr(cli, "spectrum", broken)
     assert main(["spectrum", "--family", "fourier", "--n", "3"]) == 2
     err = capsys.readouterr().err
-    assert "isotypic bases" in err and "Traceback" not in err
+    assert "isotypic block" in err and "Traceback" not in err
 
 
 def test_csv_cluster_ids_match_clusters(capsys):

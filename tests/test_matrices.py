@@ -87,6 +87,16 @@ def test_row_column_sums(n):
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_every_validated_unitary_is_mapped():
+    # a perturbation inside the unitarity tolerance moves the row sums of
+    # |u|^2 by about as much, well past 1e-12
+    m = haar_random_unitary(6, 3).matrix + 2e-11 * np.random.default_rng(0).standard_normal((6, 6))
+    u = validate_unitary(m)
+    p = to_doubly_stochastic(u).matrix
+    np.testing.assert_array_equal(p, np.abs(m) ** 2)
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12
+
+
 class TestNormalForm:
     def test_phased_hadamard_strips_to_positive_first_row_col(self):
         had = validate_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))

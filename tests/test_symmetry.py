@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezin_lab import (
     WeightedSpace,
     build_berezin,
     c_symbol_to_operator,
     d_symbol_to_operator,
-    e_subspace_basis,
     fourier_matrix,
-    isotypic_projectors,
+    haar_random_unitary,
+    isotypic_clusters,
     symmetric_family_matrix,
 )
 from berezin_lab import symmetry
-from berezin_lab.spectral import eigenvalue_multiplicity
+from berezin_lab.spectral import CLUSTER_TOL, cluster_eigenvalues, eigenvalue_multiplicity
 from berezin_lab.errors import (
     BerezinLabError,
     InvariantViolation,
@@ -26,9 +28,10 @@ from berezin_lab.symmetry import (
     check_weyl_relations,
     fourier_eigenfunction_check,
     invariant_pair_count,
-    isotypic_bases,
+    isotypic_blocks,
     permute_symbol,
     phase_operator,
+    predicted_clusters,
     shift_operator,
     unit_root,
 )
@@ -128,58 +131,57 @@ class TestShiftCommutation:
                 np.testing.assert_array_equal(shifts[s, t], np.roll(f, shift=(-t, s), axis=(0, 1)))
 
 
+def _orbit_combination(f, rng, count=8):
+    """A random combination of permute_symbol(f, sigma) over random sigma.
+    The orbit of a representative of block 3 or 4 spans the whole block."""
+    n = f.shape[0]
+    return sum(rng.standard_normal() * permute_symbol(f, rng.permutation(n))
+               for _ in range(count)) + 0j
+
+
 class TestIsotypicDecomposition:
-    @pytest.mark.parametrize(
-        "n,ranks", [(3, (2, 6, 1, 0)), (4, (2, 9, 3, 2)), (5, (2, 12, 6, 5))]
-    )
-    def test_projector_ranks(self, n, ranks):
-        projs = isotypic_projectors(n)
-        got = tuple(np.linalg.matrix_rank(p, tol=1e-9) for p in projs)
-        assert got == ranks
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_block_multiplicities(self, n):
+        expected = {
+            3: [1, 1, 2, 2, 2, 1],
+            4: [1, 1, 3, 3, 3, 3, 2],
+            5: [1, 1, 4, 4, 4, 6, 5],
+        }[n]
+        b = build_berezin(symmetric_family_matrix(n, np.exp(0.7j)))
+        got = [mult for _, mult in isotypic_clusters(b)]
+        assert got == expected
         assert sum(got) == n * n
 
-    def test_pairwise_products_vanish(self):
-        projs = isotypic_projectors(4)
-        for i, p in enumerate(projs):
-            np.testing.assert_allclose(p @ p, p, atol=1e-10)
-            for j, q in enumerate(projs):
-                if i != j:
-                    np.testing.assert_allclose(p @ q, 0.0, atol=1e-10)
-
     def test_orthogonal_in_weighted_product(self):
-        # ranges of distinct projectors are orthogonal in the weighted
+        # representatives of distinct blocks are orthogonal in the weighted
         # product of the symmetric family
         u = symmetric_family_matrix(4, np.exp(2.3j))
         space = WeightedSpace.from_unitary(u)
-        bases = isotypic_bases(4)
+        blocks = [reps for reps, _ in isotypic_blocks(4)]
         for i in range(4):
             for j in range(i + 1, 4):
-                for f in bases[i]:
-                    for g in bases[j]:
-                        assert abs(space.inner(f + 0j, g + 0j)) < 1e-12
+                for f in blocks[i]:
+                    for g in blocks[j]:
+                        assert abs(space.inner(f, g)) < 1e-12
 
-    def test_projectors_commute_with_permutations(self):
-        n = 4
-        rng = np.random.default_rng(9)
-        projs = isotypic_projectors(n)
-        for _ in range(5):
-            sigma = rng.permutation(n)
-            inv = np.argsort(sigma)
-            # the action on flattened symbols as an n^2 x n^2 permutation
-            r_op = np.zeros((n * n, n * n))
-            for k in range(n):
-                for l in range(n):
-                    r_op[k * n + l, inv[k] * n + inv[l]] = 1.0
-            for p in projs:
-                assert np.max(np.abs(p @ r_op - r_op @ p)) < 1e-10
+    @pytest.mark.parametrize("n,ranks", [(4, (3, 2)), (5, (6, 5))])
+    def test_orbits_span_blocks(self, n, ranks):
+        rng = np.random.default_rng(8)
+        for (reps, _), rank in zip(isotypic_blocks(n)[2:], ranks):
+            orbit = np.stack([permute_symbol(reps[0], rng.permutation(n)).ravel()
+                              for _ in range(40)])
+            assert np.linalg.matrix_rank(orbit) == rank
 
     def test_antisymmetric_component_eigenvalue(self):
         # d map output is conj(theta) times the c map output on component 3
         theta = np.exp(0.7j)
         u = symmetric_family_matrix(4, theta)
-        for f in isotypic_bases(4)[2]:
-            cf = c_symbol_to_operator(u, f + 0j)
-            df = d_symbol_to_operator(u, f + 0j)
+        rng = np.random.default_rng(9)
+        reps, _ = isotypic_blocks(4)[2]
+        for _ in range(3):
+            f = _orbit_combination(reps[0], rng)
+            cf = c_symbol_to_operator(u, f)
+            df = d_symbol_to_operator(u, f)
             assert np.max(np.abs(df - np.conj(theta) * cf)) < 1e-10
 
     def test_component_eigenvalues_under_berezin(self):
@@ -187,39 +189,71 @@ class TestIsotypicDecomposition:
         u = symmetric_family_matrix(5, theta)
         space = WeightedSpace.from_unitary(u)
         b = build_berezin(u)
-        bases = isotypic_bases(5)
+        blocks = isotypic_blocks(5)
         rng = np.random.default_rng(10)
-        for basis, eig in ((bases[2], np.conj(theta)), (bases[3], -np.conj(theta))):
-            coeffs = rng.standard_normal(len(basis))
-            f = sum(c * v for c, v in zip(coeffs, basis)) + 0j
+        for (reps, _), eig in ((blocks[2], np.conj(theta)), (blocks[3], -np.conj(theta))):
+            f = _orbit_combination(reps[0], rng)
             assert space.norm(b.apply(f) - eig * f) < 1e-9
 
     def test_e_perp_dimension_accounting(self):
-        # after removing the span of row/column functions, the four
-        # components contribute 1, n-1, (n-1)(n-2)/2, n(n-3)/2 dimensions
+        # the eigenvalue 1 comes from one value of block 1 and two of block
+        # 2, the latter repeated n - 1 times each: the 2n - 1 dimensions of
+        # E, so the complement of E carries no 1
         n = 5
-        theta = 1j
-        u = symmetric_family_matrix(n, theta)
-        space = WeightedSpace.from_unitary(u)
-        e_cols = np.stack([f.ravel() for f in e_subspace_basis(n)], axis=1)
-        w2 = space.weights.ravel()
-        expected = [1, n - 1, (n - 1) * (n - 2) // 2, n * (n - 3) // 2]
-        for basis, dim in zip(isotypic_bases(n), expected):
-            cols = np.stack([f.ravel() for f in basis], axis=1).astype(complex)
-            # project out E in the weighted product
-            gram = e_cols.conj().T @ (w2[:, None] * e_cols)
-            cross = e_cols.conj().T @ (w2[:, None] * cols)
-            residual = cols - e_cols @ np.linalg.solve(gram, cross)
-            assert np.linalg.matrix_rank(residual, tol=1e-9) == dim
-        assert sum(expected) == n * n - (2 * n - 1)
+        b = build_berezin(symmetric_family_matrix(n, 1j))
+        at_one = sorted(mult for value, mult in isotypic_clusters(b) if abs(value - 1) < 1e-9)
+        assert at_one == [1, n - 1, n - 1]
+        assert sum(at_one) == 2 * n - 1
 
     def test_small_n_rejected(self):
         with pytest.raises(NotApplicableError):
-            isotypic_projectors(2)
+            isotypic_blocks(2)
 
-    def test_incomplete_bases_raise_package_error(self, monkeypatch):
-        full = isotypic_bases(4)
-        monkeypatch.setattr(symmetry, "isotypic_bases", lambda n: (*full[:3], full[3][:-1]))
-        with pytest.raises(InvariantViolation, match="do not fill") as exc:
-            isotypic_projectors(4)
+    def test_incomplete_bases_raise_package_error(self):
+        # a transform without the symmetry leaves the blocks
+        with pytest.raises(InvariantViolation, match="leaves an isotypic block") as exc:
+            isotypic_clusters(build_berezin(haar_random_unitary(5, 3)))
         assert isinstance(exc.value, BerezinLabError)
+
+    def test_block_table_enters_verdict(self, monkeypatch):
+        theta = np.exp(0.7j)
+        assert symmetry.verify_symmetric_family_spectrum(4, theta)
+        table = symmetry.isotypic_clusters
+
+        def moved(b):
+            out = table(b)
+            value, mult = out[-1]
+            return out[:-1] + [(value * np.exp(2e-8j), mult)]
+
+        monkeypatch.setattr(symmetry, "isotypic_clusters", moved)
+        assert not symmetry.verify_symmetric_family_spectrum(4, theta)
+
+
+def _cluster_counts(*tables):
+    """Per-table member counts of the groups one cluster_eigenvalues call
+    forms over the (value, multiplicity) tables together."""
+    values = [np.repeat(*zip(*table)) for table in tables]
+    clusters, ids = cluster_eigenvalues(np.concatenate(values), CLUSTER_TOL)
+    bounds = np.cumsum([len(v) for v in values])[:-1]
+    return [np.bincount(g, minlength=len(clusters)).tolist() for g in np.split(ids, bounds)]
+
+
+class TestBlockTable:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        angle=st.floats(1e-3, np.pi - 1e-3),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_matches_predicted_clusters(self, n, angle, sign):
+        theta = np.exp(1j * sign * angle)
+        blocks = isotypic_clusters(build_berezin(symmetric_family_matrix(n, theta)))
+        computed, predicted = _cluster_counts(blocks, predicted_clusters(n, theta))
+        assert computed == predicted
+
+    def test_beyond_dense_size(self):
+        # n = 200: the dense S would take 25.6 GB; the blocks take 3 symbols
+        n, theta = 200, np.exp(2.1j)
+        blocks = isotypic_clusters(build_berezin(symmetric_family_matrix(n, theta)))
+        computed, predicted = _cluster_counts(blocks, predicted_clusters(n, theta))
+        assert computed == predicted
