@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import sys
@@ -198,21 +199,22 @@ def cmd_sweep(args) -> int:
              "theorem_holds", "is_submersion"]
         )
 
-    def on_sample(i, report):
+    def on_chunk(chunk):
         if stream_writer is None:
             return
-        if report is None:
-            stream_writer.writerow([i, 1, "", "", "", "", ""])
-        else:
-            stream_writer.writerow(
-                [i, 0, report.rank, report.kernel_dim,
-                 report.berezin_multiplicity_of_one,
-                 int(report.theorem_holds), int(report.is_submersion)]
-            )
+        for i, report in chunk:
+            if report is None:
+                stream_writer.writerow([i, 1, "", "", "", "", ""])
+            else:
+                stream_writer.writerow(
+                    [i, 0, report.rank, report.kernel_dim,
+                     report.berezin_multiplicity_of_one,
+                     int(report.theorem_holds), int(report.is_submersion)]
+                )
         stream_fh.flush()
 
     try:
-        report = submersion_sweep(args.n, args.samples, args.seed, on_sample=on_sample)
+        report = submersion_sweep(args.n, args.samples, args.seed, on_chunk=on_chunk)
     finally:
         if stream_fh:
             stream_fh.close()
@@ -279,14 +281,18 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if all(r[4] == "pass" for r in rows) else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process.  Each command is dispatched by
+    the name of its cmd_* function, looked up when it runs, so a function
+    rebound in this module after the first call is the one called."""
     parser = _Parser(prog="berezin-lab", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         p.add_argument("--n", type=int, default=3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="write report here instead of stdout")
@@ -329,7 +335,7 @@ def main(argv=None) -> int:
     if args.n is not None and args.n < 1:
         parser.error("n must be >= 1")
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -55,14 +55,21 @@ def validate_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> Unitary:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+    return Unitary(matrix=m, nonzero_entries=bool(_check_unitary(m, tol)))
+
+
+def _check_unitary(m: np.ndarray, tol: float) -> np.ndarray:
+    """The check of validate_unitary on each matrix of a stack along leading
+    axes: raise NotUnitaryError unless every matrix is finite with
+    ||m m* - Id||_max <= tol, and say of each whether all its |entries|
+    exceed ENTRY_FLOOR."""
     if not np.all(np.isfinite(m)):
         raise NotUnitaryError(float("inf"))
-    n = m.shape[0]
-    dev = np.max(np.abs(m @ m.conj().T - np.eye(n)))
+    gram = m @ np.conj(np.swapaxes(m, -1, -2))
+    dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
     if dev > tol:
         raise NotUnitaryError(float(dev))
-    nonzero = bool(np.min(np.abs(m)) > ENTRY_FLOOR)
-    return Unitary(matrix=m, nonzero_entries=nonzero)
+    return np.min(np.abs(m), axis=(-2, -1)) > ENTRY_FLOOR
 
 
 def require_nonzero(u: Unitary) -> None:
@@ -81,12 +88,30 @@ def haar_random_unitary(n: int, seed) -> Unitary:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return validate_unitary(_rephased_qr(_ginibre(n, seed)))
+
+
+def haar_unitary_stack(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The unitaries haar_random_unitary(n, seed) gives for each of seeds,
+    bit for bit, as one (len(seeds), n, n) stack from one stacked QR, with
+    each matrix checked as validate_unitary checks it; and whether each has
+    all entries nonzero."""
+    m = _rephased_qr(np.stack([_ginibre(n, seed) for seed in seeds]))
+    return m, _check_unitary(m, UNITARITY_TOL)
+
+
+def _ginibre(n: int, seed) -> np.ndarray:
+    """An n x n complex Ginibre matrix drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _rephased_qr(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR (one matrix or a stack), each column times the phase of
+    the matching diagonal entry of R."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return validate_unitary(q)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
 def to_doubly_stochastic(u: Unitary) -> DoublyStochastic:

@@ -34,22 +34,29 @@ RUN_GAP = 1e-6  # eigenvalues of X + MIX Y closer than this form one run
 RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 
 
-def kernel_dim(singular_values: np.ndarray, n: int) -> int:
+def kernel_dim(singular_values: np.ndarray, n: int):
     """The rank rule both pipelines share: singular values below
-    KERNEL_RANK_TOL * n count toward the kernel."""
-    return int(np.sum(singular_values < KERNEL_RANK_TOL * n))
+    KERNEL_RANK_TOL * n count toward the kernel.  An int, or a list of
+    ints for a stack of singular-value rows."""
+    return np.sum(singular_values < KERNEL_RANK_TOL * n, axis=-1).tolist()
 
 
 def standardized_matrix(op: BerezinTransform) -> np.ndarray:
     """S = W B W^-1, unitary in the standard Hermitian product, built from
     its symmetric formula: the package's one explicit Berezin kernel."""
-    m = op.u.matrix
-    n = op.n
+    return _standardized(op.u.matrix)
+
+
+def _standardized(m: np.ndarray) -> np.ndarray:
+    """The standardized matrix S of each unitary matrix in m, an n x n
+    matrix or a stack of them along leading axes."""
+    n = m.shape[-1]
     p = np.abs(m) / m
-    s = m[:, np.newaxis, np.newaxis, :] * m.T[np.newaxis, :, :, np.newaxis]
-    s *= p[:, :, np.newaxis, np.newaxis]
-    s *= p
-    return s.reshape(n * n, n * n)
+    mt = np.swapaxes(m, -1, -2)
+    s = m[..., :, np.newaxis, np.newaxis, :] * mt[..., np.newaxis, :, :, np.newaxis]
+    s *= p[..., :, :, np.newaxis, np.newaxis]
+    s *= p[..., np.newaxis, np.newaxis, :, :]
+    return s.reshape(*m.shape[:-2], n * n, n * n)
 
 
 @dataclass
@@ -154,19 +161,21 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def _kernel_svd(s: np.ndarray, value: complex, compute_uv: bool = False):
-    """SVD of the real 2N x N stack [X - Re(value); Y - Im(value)].
+    """SVD of the real 2N x N stack [X - Re(value); Y - Im(value)], for S
+    or for each S of a stack along leading axes.
 
     Its singular values are |lambda_j - value|, those of S - value, so it
     has the kernel of S - value, with real right singular vectors."""
     value = complex(value)
-    size = s.shape[0]
-    stacked = np.stack([s.real, s.imag])
+    size = s.shape[-1]
+    stacked = np.stack([s.real, s.imag], axis=-3)
     diag = np.arange(size)
-    stacked[0, diag, diag] -= value.real
-    stacked[1, diag, diag] -= value.imag
+    stacked[..., 0, diag, diag] -= value.real
+    stacked[..., 1, diag, diag] -= value.imag
     try:
         return np.linalg.svd(
-            stacked.reshape(2 * size, size), full_matrices=False, compute_uv=compute_uv
+            stacked.reshape(*s.shape[:-2], 2 * size, size),
+            full_matrices=False, compute_uv=compute_uv,
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(str(exc)) from exc
@@ -201,7 +210,14 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
 def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
     """SVD-kernel dimension of (B~ - value Id): the multiplicity of value,
     counted without computing any eigenvalue."""
-    return kernel_dim(_kernel_svd(standardized_matrix(op), value), op.n)
+    return eigenvalue_multiplicities(op.u.matrix, value)
+
+
+def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
+    """eigenvalue_multiplicity for the transform of the unitary matrix m, or
+    for each matrix of a stack along leading axes (a list), with one
+    batched SVD.  The entries of m must be nonzero."""
+    return kernel_dim(_kernel_svd(_standardized(m), value), m.shape[-1])
 
 
 def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:

@@ -4,21 +4,34 @@ always equals the Berezin multiplicity of the eigenvalue 1."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotSkewHermitianError, NotTangentError
-from .matrices import Unitary, haar_random_unitary, require_nonzero
-from .spectral import eigenvalue_multiplicity, kernel_dim
-from .symbols import build_berezin
+from .matrices import Unitary, haar_unitary_stack, require_nonzero
+from .spectral import eigenvalue_multiplicities, kernel_dim
+
+# Memory a sweep chunk may take: at either side's peak, a sample holds
+# 32 n^4 bytes of stacks (the Jacobian's complex (X u) * conj(u) over n^2
+# directions, or S with its real [X; Y] copy).
+_CHUNK_BYTES = 8 * 2**20
+
+
+def _chunk_size(n: int) -> int:
+    """Samples per sweep chunk: as many as fit _CHUNK_BYTES, at least one."""
+    return max(1, _CHUNK_BYTES // (32 * n**4))
 
 
 def skew_hermitian_basis(n: int) -> list[np.ndarray]:
-    """A real-linear basis of the skew-Hermitian n x n matrices (the
-    tangent space of the unitary group at the identity): n imaginary
-    diagonal units, then antisymmetric-real and symmetric-imaginary units
-    for each off-diagonal pair.  n^2 elements in total."""
+    """A basis of the skew-Hermitian n x n matrices (the tangent space of
+    the unitary group at the identity), orthonormal in the real
+    Hilbert-Schmidt product Re tr(X Y*): n imaginary diagonal units, then
+    an antisymmetric-real and a symmetric-imaginary element with entries
+    of modulus 1/sqrt(2) for each off-diagonal pair.  n^2 elements in
+    total."""
+    h = math.sqrt(0.5)
     basis = []
     for k in range(n):
         m = np.zeros((n, n), dtype=complex)
@@ -27,22 +40,24 @@ def skew_hermitian_basis(n: int) -> list[np.ndarray]:
     for i in range(n):
         for j in range(i + 1, n):
             m = np.zeros((n, n), dtype=complex)
-            m[i, j], m[j, i] = 1.0, -1.0
+            m[i, j], m[j, i] = h, -h
             basis.append(m)
             m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1j
+            m[i, j] = m[j, i] = 1j * h
             basis.append(m)
     return basis
 
 
-def tangent_direction(u: Unitary, x: np.ndarray) -> np.ndarray:
+def tangent_direction(u: Unitary | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Push the tangent vector X (skew-Hermitian, acting as u' = X u)
     through the squared-modulus map: p'[k, l] = 2 Re((X u)[k, l] conj(u[k, l])).
 
     The result has vanishing row and column sums (it is tangent to the
-    affine space of doubly stochastic matrices).  x is one matrix or a
-    stack of them along leading axes."""
-    return 2.0 * np.real((_skew_hermitian(x) @ u.matrix) * np.conj(u.matrix))
+    affine space of doubly stochastic matrices).  u is a Unitary, or
+    unitary matrices stacked along leading axes; x is one matrix or a
+    stack of them along leading axes, broadcast against u."""
+    m = u.matrix if isinstance(u, Unitary) else u
+    return 2.0 * np.real((_skew_hermitian(x) @ m) * np.conj(m))
 
 
 def _skew_hermitian(x: np.ndarray) -> np.ndarray:
@@ -90,26 +105,43 @@ class JacobianReport:
 
 def jacobian_report(u: Unitary) -> JacobianReport:
     """Assemble the real n^2 x n^2 Jacobian of the squared-modulus map at u
-    (columns indexed by the skew-Hermitian basis), rank it by SVD, and
-    compare its kernel dimension with the Berezin multiplicity of 1
-    computed by the entirely independent spectral pipeline."""
+    (columns indexed by the orthonormal skew-Hermitian basis, row (k, l)
+    divided by |u_kl|), rank it by SVD, and compare its kernel dimension with the Berezin multiplicity of
+    1 computed by the entirely independent spectral pipeline.  A sweep runs
+    the same code on a stack of samples."""
     require_nonzero(u)
-    n = u.n
-    directions = tangent_direction(u, np.stack(skew_hermitian_basis(n)))
-    jac = directions.reshape(n * n, n * n).T
+    return _jacobian_reports(u.matrix[np.newaxis], np.stack(skew_hermitian_basis(u.n)))[0]
+
+
+def _jacobian_reports(m: np.ndarray, basis: np.ndarray) -> list[JacobianReport]:
+    """jacobian_report for each unitary of a (samples, n, n) stack whose
+    entries are all nonzero, with one batched SVD per pipeline.
+
+    Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
+    differential of 2|u| in place of |u|^2: the kernel is the same since
+    |u| > 0, and in the orthonormal basis the singular values are exactly
+    |1 - lambda_j| over the Berezin eigenvalues lambda_j, those of S - I.
+    Unscaled, they shrink by up to min|u_kl| and fall below the rank
+    threshold while the Berezin side's stay above it."""
+    count, n = len(m), m.shape[-1]
+    directions = tangent_direction(m[:, np.newaxis], basis)
+    directions /= np.abs(m)[:, np.newaxis]
+    jac = np.swapaxes(directions.reshape(count, n * n, n * n), -1, -2)
     sv = np.linalg.svd(jac, compute_uv=False)
-    kernel = kernel_dim(sv, n)
-    rank = n * n - kernel
-    mult = eigenvalue_multiplicity(build_berezin(u))
-    return JacobianReport(
-        n=n,
-        singular_values=sv,
-        rank=rank,
-        kernel_dim=kernel,
-        berezin_multiplicity_of_one=mult,
-        theorem_holds=(kernel == mult),
-        is_submersion=(rank == (n - 1) ** 2),
-    )
+    del directions, jac  # free the Jacobians before the Berezin side's stacks
+    reports = []
+    for values, kernel, mult in zip(sv, kernel_dim(sv, n), eigenvalue_multiplicities(m)):
+        rank = n * n - kernel
+        reports.append(JacobianReport(
+            n=n,
+            singular_values=values,
+            rank=rank,
+            kernel_dim=kernel,
+            berezin_multiplicity_of_one=mult,
+            theorem_holds=(kernel == mult),
+            is_submersion=(rank == (n - 1) ** 2),
+        ))
+    return reports
 
 
 def finite_difference_direction(u: Unitary, x: np.ndarray, h: float) -> np.ndarray:
@@ -146,34 +178,41 @@ class SweepReport:
         }
 
 
-def submersion_sweep(n: int, samples: int, seed: int, on_sample=None) -> SweepReport:
+def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepReport:
     """Haar-sample unitaries and collect Jacobian reports.
 
     Each sample gets its own derived seed (seed, index), so a sample's
     result does not depend on the others.  Samples with an entry at or
-    below the entry floor are skipped and counted, not perturbed.
-    on_sample, if given, is called with (index, JacobianReport or None) as
-    each sample finishes (streaming hook for the CLI)."""
+    below the entry floor are skipped and counted, not perturbed.  Samples
+    are drawn and ranked in chunks of as many as fit a fixed memory
+    budget.  on_chunk, if given, is called as each chunk finishes with its
+    (index, JacobianReport or None) pairs in index order (streaming hook
+    for the CLI)."""
     if n < 2:
         raise ValueError("sweep needs n >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
+    basis = np.stack(skew_hermitian_basis(n))
+    size = _chunk_size(n)
     skipped = 0
     submersive = 0
     violations = 0
     histogram: dict[int, int] = {}
-    for i in range(samples):
-        u = haar_random_unitary(n, [seed, i])
-        report = jacobian_report(u) if u.nonzero_entries else None
-        if on_sample is not None:
-            on_sample(i, report)
-        if report is None:
-            skipped += 1
-            continue
-        histogram[report.kernel_dim] = histogram.get(report.kernel_dim, 0) + 1
-        submersive += report.is_submersion
-        violations += not report.theorem_holds
+    for start in range(0, samples, size):
+        indices = range(start, min(start + size, samples))
+        m, nonzero = haar_unitary_stack(n, [[seed, i] for i in indices])
+        ranked = iter(_jacobian_reports(m[nonzero], basis))
+        chunk = [(i, next(ranked) if ok else None) for i, ok in zip(indices, nonzero)]
+        if on_chunk is not None:
+            on_chunk(chunk)
+        for _, report in chunk:
+            if report is None:
+                skipped += 1
+                continue
+            histogram[report.kernel_dim] = histogram.get(report.kernel_dim, 0) + 1
+            submersive += report.is_submersion
+            violations += not report.theorem_holds
     used = samples - skipped
     return SweepReport(
         n=n,

@@ -31,3 +31,32 @@ def test_every_bench_op_passes_its_oracle(tmp_path, capsys):
             capsys.readouterr()
             rc = berezin_lab.cli.main(op.argv)
             assert op.check(rc, capsys.readouterr().out) >= 1, op.argv
+
+
+def test_check_n16_seeds_that_once_failed_pass_their_oracle(capsys):
+    # small entries once pushed a Jacobian singular value under the rank
+    # threshold: kernel 32 against a Berezin count of 31
+    for seed in ("1704520880", "672160505", "244737784"):
+        capsys.readouterr()
+        rc = berezin_lab.cli.main(["theorem-check", "--family", "haar", "--n", "16",
+                                   "--seed", seed])
+        assert workloads.check_theorem(rc, capsys.readouterr().out, n=16) == 1
+
+
+def test_tracer_binds_commands_after_the_parser_is_built(tmp_path, capsys):
+    """The parser is built on the first call and reused; the tracer, which
+    rebinds cli.cmd_* afterwards, must still see which command called
+    spectrum(), or the spectrum usefulness ratio reads 0."""
+    workload = workloads.make_workload("spectrum-n16", 1, str(tmp_path))
+    op = workload.op(0)
+    berezin_lab.cli.main(op.argv)
+    capsys.readouterr()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = berezin_lab.cli.main(op.argv)
+    finally:
+        tracer.uninstall()
+    assert op.check(rc, capsys.readouterr().out) == 1
+    parents = [tracer.spans[p][0] for name, p, _, _ in tracer.spans if name == "spectral.spectrum"]
+    assert parents == ["cli.cmd_spectrum"]

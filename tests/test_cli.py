@@ -9,7 +9,7 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
-from berezin_lab import cli, spectral
+from berezin_lab import cli, spectral, submersion
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.errors import InvariantViolation
 from berezin_lab.spectral import standardized_matrix
@@ -150,6 +150,17 @@ class TestTheoremCheckCommand:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kernel_dim"] == 5
 
+    @pytest.mark.parametrize("seed", ["1704520880", "672160505", "244737784"])
+    def test_haar_n16_small_entry(self, seed, capsys):
+        # entries of modulus 0.01, 0.002 and 0.003 scaled the Jacobian's
+        # smallest non-kernel singular value from 9.3e-7, 1.2e-6 and 8.4e-7
+        # down to 5.9e-8, 7.8e-8 and 7.9e-8, under the 1.6e-7 threshold, so
+        # kernel 32 was reported against a Berezin count of 31
+        rc = main(["theorem-check", "--family", "haar", "--n", "16", "--seed", seed])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["kernel_dim"] == out["berezin_multiplicity_of_one"] == 31
+
 
 class TestSweepCommand:
     def test_n2_submersive(self, capsys):
@@ -171,9 +182,30 @@ class TestSweepCommand:
         assert len(lines) == 6
         assert lines[0].startswith("sample,")
 
+    def test_per_sample_rows_written_chunk_by_chunk(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "samples.csv"
+        on_disk = []  # rows in the file each time a chunk is drawn
+        draw = submersion.haar_unitary_stack
+
+        def recorded(n, seeds):
+            lines = csv_path.read_text().splitlines()
+            on_disk.append(sum(not line.startswith("sample,") for line in lines))
+            return draw(n, seeds)
+
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * 3**4)  # 3 samples
+        monkeypatch.setattr(submersion, "haar_unitary_stack", recorded)
+        rc = main(["sweep", "--n", "3", "--samples", "8", "--seed", "4",
+                   "--per-sample", str(csv_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert on_disk == [0, 3, 6]
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(8))
+
     def test_near_threshold_seed_agrees(self, capsys):
-        # sample 21 has a Jacobian singular value of 5.2e-8, just above the
-        # 4e-8 threshold at n = 4; both pipelines must count kernel 7
+        # sample 21 has a singular value of 2.6e-7 on both sides (5.2e-8 when
+        # the Jacobian was ranked unscaled), above the 4e-8 threshold at
+        # n = 4; both pipelines must count kernel 7
         rc = main(["sweep", "--n", "4", "--samples", "25", "--seed", "1511599422"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kernel_dim_histogram"] == {"7": 25}

@@ -10,6 +10,7 @@ from berezin_lab import (
     e_subspace_basis,
     eigenspace_of_one,
     haar_random_unitary,
+    jacobian_report,
     spectrum,
     validate_unitary,
 )
@@ -293,6 +294,29 @@ class TestStandardizedMatrix:
         eigenvalue_multiplicity(b)
         eigenspace_of_one(b)
         assert vars(b).keys() == {"u", "n"}  # no dense matrix is kept on the transform
+
+
+class TestJacobianOnTheScaleOfS:
+    """The |u|-scaled Jacobian in the orthonormal skew-Hermitian basis has
+    the singular values of S - I, index by index, so both pipelines rank
+    the same numbers against the same threshold."""
+
+    @pytest.mark.parametrize("u", [
+        *(haar_random_unitary(n, seed=[31, n]) for n in (3, 4, 8, 16)),
+        *(fourier_matrix(n) for n in (4, 6, 8)),
+        f2_cubed_perturbed(0.0),
+    ], ids=["haar3", "haar4", "haar8", "haar16", "F4", "F6", "F8", "F2^3"])
+    def test_singular_values_match_kernel_svd(self, u):
+        jacobian = np.sort(jacobian_report(u).singular_values)
+        berezin = np.sort(spectral._kernel_svd(standardized_matrix(build_berezin(u)), 1.0))
+        np.testing.assert_allclose(jacobian, berezin, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eps, kernel", [(1e-6, 15), (3e-7, 17), (1e-7, 19), (3e-8, 27)])
+    def test_counts_agree_near_f2_cubed(self, eps, kernel):
+        # ranked unscaled, the Jacobian counted 16, 18, 23 and 35 here
+        report = jacobian_report(f2_cubed_perturbed(eps))
+        assert report.kernel_dim == report.berezin_multiplicity_of_one == kernel
+        assert report.theorem_holds
 
 
 class TestEigenvaluesAgainstEigvals:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from berezin_lab import matrices, submersion
 from berezin_lab import (
     NotSkewHermitianError,
     NotTangentError,
@@ -40,6 +43,7 @@ class TestSkewBasis:
             [[np.real(np.trace(x @ y.conj().T)) for y in basis] for x in basis]
         )
         assert np.linalg.matrix_rank(gram, tol=1e-10) == 9
+        np.testing.assert_allclose(gram, np.eye(9), rtol=0, atol=1e-15)  # orthonormal
 
 
 class TestTangentDirection:
@@ -199,7 +203,7 @@ class TestSweep:
 
     def test_deterministic_and_order_independent(self):
         streamed = {}
-        a = submersion_sweep(3, samples=10, seed=9, on_sample=streamed.__setitem__)
+        a = submersion_sweep(3, samples=10, seed=9, on_chunk=streamed.update)
         b = submersion_sweep(3, samples=10, seed=9)
         assert a.to_dict() == b.to_dict()
         # each sample depends only on (seed, index)
@@ -207,6 +211,52 @@ class TestSweep:
         for i, report in streamed.items():
             alone = jacobian_report(haar_random_unitary(3, seed=[9, i]))
             assert report.to_dict() == alone.to_dict()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_chunked_samples_match_single_reports(self, n, monkeypatch):
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * n**4)  # 3 samples
+        chunks = []
+        submersion_sweep(n, samples=8, seed=21, on_chunk=chunks.append)
+        assert [[i for i, _ in chunk] for chunk in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        for i, report in (pair for chunk in chunks for pair in chunk):
+            alone = jacobian_report(haar_random_unitary(n, seed=[21, i]))
+            assert report.to_dict() == alone.to_dict()
+
+    def test_zero_entry_sample_skipped_inside_chunk(self, monkeypatch):
+        def sweep_rows():
+            rows = {}
+            report = submersion_sweep(4, samples=6, seed=3, on_chunk=rows.update)
+            return report, {i: r and r.to_dict() for i, r in rows.items()}
+
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * 4**4)  # 3 samples
+        clean, clean_rows = sweep_rows()
+        ginibre = matrices._ginibre
+
+        def sample_4_triangular(n, seed):
+            # QR of a triangular matrix is diagonal: entries exactly zero
+            z = ginibre(n, seed)
+            return np.triu(z) if seed == [3, 4] else z
+
+        monkeypatch.setattr(matrices, "_ginibre", sample_4_triangular)
+        patched, patched_rows = sweep_rows()
+        assert clean.skipped == 0 and patched.skipped == 1
+        assert patched_rows[4] is None
+        assert patched_rows == {**clean_rows, 4: None}
+
+    @pytest.mark.parametrize("n, samples", [(16, 5), (20, 2)])
+    def test_chunk_stacks_within_budget(self, n, samples):
+        basis_bytes = 16 * n**4
+        submersion_sweep(n, samples=1, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            submersion_sweep(n, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the basis, the chunk's stacks; 256 KiB covers its Ginibre
+        # matrices, singular values and reports
+        assert samples > submersion._chunk_size(n)
+        assert peak - basis_bytes <= submersion._CHUNK_BYTES + 2**18
 
     def test_image_in_birkhoff_polytope(self):
         for i in range(20):
