@@ -10,8 +10,8 @@ which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from that structure:
-eigenvalues from one real symmetric eigendecomposition, kernels from real
-SVDs.
+eigenvalues from one real symmetric eigendecomposition, multiplicities
+from the small eigenvalues of two real symmetric pencils of X and Y.
 """
 
 from __future__ import annotations
@@ -32,12 +32,17 @@ CLUSTER_TOL = 1e-8  # eigenvalues closer than this to a cluster's mean join it
 MIX = math.tan(1.0)
 RUN_GAP = 1e-6  # eigenvalues of X + MIX Y closer than this form one run
 RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
+# the angles phi of the pencils Y + tan(phi) (I - X) that count the
+# multiplicity of 1; each also vanishes at its spurious point -e^{2 i phi},
+# and the two points, e^{i (pi + 1)} and e^{i (pi - 1.4)}, are distinct and
+# no root of unity
+PENCIL_ANGLES = (0.5, -0.7)
 
 
 def kernel_dim(singular_values: np.ndarray, n: int):
-    """The rank rule both pipelines share: singular values below
-    KERNEL_RANK_TOL * n count toward the kernel.  An int, or a list of
-    ints for a stack of singular-value rows."""
+    """The rank rule both pipelines share: singular values (or moduli of
+    pencil eigenvalues) below KERNEL_RANK_TOL * n count toward the kernel.
+    An int, or a list of ints for a stack of rows."""
     return np.sum(singular_values < KERNEL_RANK_TOL * n, axis=-1).tolist()
 
 
@@ -160,33 +165,59 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
     return values
 
 
-def _kernel_svd(s: np.ndarray, value: complex, compute_uv: bool = False):
-    """SVD of the real 2N x N stack [X - Re(value); Y - Im(value)], for S
-    or for each S of a stack along leading axes.
+def _pencil_spectra(s: np.ndarray, value: complex, vectors: bool = False):
+    """Yield eigvalsh (eigh if vectors) of the pencil M_phi of S conj(v),
+    v = value / |value|, for each phi of PENCIL_ANGLES; S is one matrix or
+    a stack along leading axes.
 
-    Its singular values are |lambda_j - value|, those of S - value, so it
-    has the kernel of S - value, with real right singular vectors."""
-    value = complex(value)
-    size = s.shape[-1]
-    stacked = np.stack([s.real, s.imag], axis=-3)
-    diag = np.arange(size)
-    stacked[..., 0, diag, diag] -= value.real
-    stacked[..., 1, diag, diag] -= value.imag
-    try:
-        return np.linalg.svd(
-            stacked.reshape(*s.shape[:-2], 2 * size, size),
-            full_matrices=False, compute_uv=compute_uv,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    With conj(v) S = X' + i Y', M_phi = Y' + tan(phi) (I - X') is real
+    symmetric and has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi)
+    on the eigenvector of each eigenvalue e^{it} of conj(v) S.  Near t = 0
+    that is |e^{it} - 1| (1 + O(t)), the scale of the singular values of
+    S - v.  Each pencil is built in one reused real buffer, as a X + b Y
+    from the interleaved real and imaginary parts of S, with no complex
+    temporary."""
+    c = complex(value).conjugate() / abs(value)
+    parts = s.view(np.float64).reshape(*s.shape, 2)
+    pencil = np.empty(s.shape)
+    diag = np.arange(s.shape[-1])
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    for phi in PENCIL_ANGLES:
+        t = math.tan(phi)
+        # Re(c S) = Re c X - Im c Y and Im(c S) = Im c X + Re c Y
+        np.matmul(parts, [c.imag - t * c.real, c.real + t * c.imag], out=pencil)
+        pencil[..., diag, diag] += t
+        try:
+            yield solve(pencil)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(str(exc)) from exc
+
+
+def _multiplicity(s: np.ndarray, value: complex):
+    """The number of eigenvalues of S within KERNEL_RANK_TOL * n of value,
+    for S or each S of a stack (a list): the smaller of the counts of
+    small eigenvalues of the two pencils.
+
+    Each pencil also vanishes on the eigenvector of the spurious point
+    -v e^{2 i phi}, so the count overstates only if S has eigenvalues
+    within about the threshold of both spurious points.  An overcount makes
+    the Berezin side disagree with the Jacobian or with the clustering, so
+    it exits as a failed check, never as a silent pass.  Every eigenvalue
+    lies on the unit circle, so a value whose modulus is farther than the
+    threshold from 1 has multiplicity 0."""
+    n = math.isqrt(s.shape[-1])
+    if abs(abs(value) - 1.0) >= KERNEL_RANK_TOL * n:
+        return np.zeros(s.shape[:-2], dtype=int).tolist()
+    counts = [kernel_dim(np.abs(mu), n) for mu in _pencil_spectra(s, value)]
+    return np.minimum(*counts).tolist()
 
 
 def spectrum(op: BerezinTransform) -> SpectralSummary:
     """All n^2 eigenvalues of the transform, clustered, with two
     independent estimates of the multiplicity of 1.
 
-    The authoritative count is the SVD-kernel dimension of (B~ - Id);
-    angular clustering is kept as a consistency check (it can merge
+    The authoritative count is the pencils' count of eigenvalues of B~
+    near 1; angular clustering is kept as a consistency check (it can merge
     unrelated eigenvalues that drift near 1).
     """
     std = standardized_matrix(op)
@@ -203,31 +234,32 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
         clusters=clusters,
         cluster_ids=cluster_ids,
         multiplicity_of_one=mult_one,
-        kernel_method_dim=kernel_dim(_kernel_svd(std, 1.0), op.n),
+        kernel_method_dim=_multiplicity(std, 1.0),
     )
 
 
 def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
-    """SVD-kernel dimension of (B~ - value Id): the multiplicity of value,
-    counted without computing any eigenvalue."""
+    """The multiplicity of value as an eigenvalue of B~, counted from two
+    real symmetric pencils without computing the spectrum."""
     return eigenvalue_multiplicities(op.u.matrix, value)
 
 
 def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
     """eigenvalue_multiplicity for the transform of the unitary matrix m, or
     for each matrix of a stack along leading axes (a list), with one
-    batched SVD.  The entries of m must be nonzero."""
-    return kernel_dim(_kernel_svd(_standardized(m), value), m.shape[-1])
+    batched eigvalsh per pencil.  The entries of m must be nonzero."""
+    return _multiplicity(_standardized(m), value)
 
 
 def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
     """Real-valued basis of ker(B - Id), orthonormal in the weighted
-    product, from the real right singular vectors of the stacked kernel
-    matrix.  The eigenspace is closed under complex conjugation, so the
-    same functions times i form a basis of purely imaginary
-    eigenfunctions."""
+    product: the eigenvectors of eigenvalue below KERNEL_RANK_TOL * n of
+    the pencil with fewer of them, the count _multiplicity takes.  The
+    eigenspace is closed under complex conjugation, so the same functions
+    times i form a basis of purely imaginary eigenfunctions."""
     n = op.n
-    _, sv, vh = _kernel_svd(standardized_matrix(op), 1.0, compute_uv=True)
-    dim = kernel_dim(sv, n)
+    kernels = [q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
+               for mu, q in _pencil_spectra(standardized_matrix(op), 1.0, vectors=True)]
+    basis = min(kernels, key=lambda q: q.shape[1])
     w = np.abs(op.u.matrix)
-    return [(v.reshape(n, n) / w).astype(complex) for v in vh[n * n - dim:]]
+    return [(v.reshape(n, n) / w).astype(complex) for v in basis.T]

@@ -13,9 +13,10 @@ from .errors import NotSkewHermitianError, NotTangentError
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
-# Memory a sweep chunk may take: at either side's peak, a sample holds
-# 32 n^4 bytes of stacks (the Jacobian's complex (X u) * conj(u) over n^2
-# directions, or S with its real [X; Y] copy).
+# Memory a sweep chunk may take: at the Jacobian side's peak, a sample
+# holds 32 n^4 bytes of stacks (the complex (X u) * conj(u) over n^2
+# directions and its real part); the Berezin side's S and one real pencil
+# take 24 n^4.
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -24,27 +25,21 @@ def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_BYTES // (32 * n**4))
 
 
-def skew_hermitian_basis(n: int) -> list[np.ndarray]:
+def skew_hermitian_basis(n: int) -> np.ndarray:
     """A basis of the skew-Hermitian n x n matrices (the tangent space of
     the unitary group at the identity), orthonormal in the real
-    Hilbert-Schmidt product Re tr(X Y*): n imaginary diagonal units, then
-    an antisymmetric-real and a symmetric-imaginary element with entries
-    of modulus 1/sqrt(2) for each off-diagonal pair.  n^2 elements in
-    total."""
+    Hilbert-Schmidt product Re tr(X Y*), as an (n^2, n, n) array: n
+    imaginary diagonal units, then an antisymmetric-real and a
+    symmetric-imaginary element with entries of modulus 1/sqrt(2) for each
+    off-diagonal pair (i, j), i < j, in row-major order."""
     h = math.sqrt(0.5)
-    basis = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1j
-        basis.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j], m[j, i] = h, -h
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1j * h
-            basis.append(m)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    k = np.arange(n)
+    basis[k, k, k] = 1j
+    i, j = np.triu_indices(n, 1)
+    real = n + 2 * np.arange(len(i))
+    basis[real, i, j], basis[real, j, i] = h, -h
+    basis[real + 1, i, j] = basis[real + 1, j, i] = 1j * h
     return basis
 
 
@@ -106,16 +101,17 @@ class JacobianReport:
 def jacobian_report(u: Unitary) -> JacobianReport:
     """Assemble the real n^2 x n^2 Jacobian of the squared-modulus map at u
     (columns indexed by the orthonormal skew-Hermitian basis, row (k, l)
-    divided by |u_kl|), rank it by SVD, and compare its kernel dimension with the Berezin multiplicity of
-    1 computed by the entirely independent spectral pipeline.  A sweep runs
-    the same code on a stack of samples."""
+    divided by |u_kl|), rank it by SVD, and compare its kernel dimension
+    with the Berezin multiplicity of 1 computed by the entirely independent
+    spectral pipeline.  A sweep runs the same code on a stack of samples."""
     require_nonzero(u)
-    return _jacobian_reports(u.matrix[np.newaxis], np.stack(skew_hermitian_basis(u.n)))[0]
+    return _jacobian_reports(u.matrix[np.newaxis], skew_hermitian_basis(u.n))[0]
 
 
 def _jacobian_reports(m: np.ndarray, basis: np.ndarray) -> list[JacobianReport]:
     """jacobian_report for each unitary of a (samples, n, n) stack whose
-    entries are all nonzero, with one batched SVD per pipeline.
+    entries are all nonzero, with one batched Jacobian SVD and one batched
+    eigvalsh per Berezin pencil.
 
     Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
     differential of 2|u| in place of |u|^2: the kernel is the same since
@@ -178,6 +174,15 @@ class SweepReport:
         }
 
 
+def check_sweep_args(n: int, samples: int) -> None:
+    """Raise ValueError unless a sweep of samples unitaries of size n can
+    run; the CLI calls it before opening its per-sample file."""
+    if n < 2:
+        raise ValueError("sweep needs n >= 2")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepReport:
     """Haar-sample unitaries and collect Jacobian reports.
 
@@ -188,12 +193,8 @@ def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepRep
     budget.  on_chunk, if given, is called as each chunk finishes with its
     (index, JacobianReport or None) pairs in index order (streaming hook
     for the CLI)."""
-    if n < 2:
-        raise ValueError("sweep needs n >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
-    basis = np.stack(skew_hermitian_basis(n))
+    check_sweep_args(n, samples)
+    basis = skew_hermitian_basis(n)
     size = _chunk_size(n)
     skipped = 0
     submersive = 0

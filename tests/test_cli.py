@@ -215,6 +215,18 @@ class TestSweepCommand:
             main(["sweep", "--n", "2", "--samples", "0"])
         assert exc.value.code == 1
 
+    def test_failed_sweep_keeps_per_sample_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        assert main(["sweep", "--n", "3", "--samples", "4", "--per-sample", str(csv_path)]) == 0
+        earlier = csv_path.read_text()
+        assert len(earlier.splitlines()) == 5
+        assert main(["sweep", "--n", "1", "--per-sample", str(csv_path)]) == 1
+        assert "sweep needs n >= 2" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n", "3", "--samples", "0", "--per-sample", str(csv_path)])
+        assert exc.value.code == 1
+        assert csv_path.read_text() == earlier
+
 
 class TestVerifyAllCommand:
     def test_default_suite_passes(self, capsys):
@@ -255,17 +267,17 @@ class TestVerifyAllCommand:
         assert rc == 2
         assert rows["berezin-consistency"]["status"] == "FAIL"
 
-    def test_runs_one_kernel_svd(self, monkeypatch, capsys):
+    def test_runs_one_kernel_count(self, monkeypatch, capsys):
         # the spectrum table's spectrum is the one kernel count; no check
         # computes a multiplicity that verify-all does not report
         shapes = []
-        kernel_svd = spectral._kernel_svd
+        multiplicity = spectral._multiplicity
 
         def counted(s, *args, **kw):
             shapes.append(s.shape)
-            return kernel_svd(s, *args, **kw)
+            return multiplicity(s, *args, **kw)
 
-        monkeypatch.setattr(spectral, "_kernel_svd", counted)
+        monkeypatch.setattr(spectral, "_multiplicity", counted)
         assert main(["verify-all", "--n", "3"]) == 0
         assert shapes == [(9, 9)]
 
@@ -278,6 +290,44 @@ class TestVerifyAllCommand:
         assert main(["verify-all", "--n", "2", "--format", "json", "--seed", "3"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert all(r["status"] == "pass" for r in rows)
+
+
+class TestSizeCap:
+    """An n whose stacks pass MAX_STACK_BYTES is a usage error, refused
+    before anything is built; the cap is lowered here so that n = 5 is
+    past it and n = 4 is not."""
+
+    @pytest.fixture(autouse=True)
+    def cap_at_n4(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STACK_BYTES", 32 * 4**4)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "haar"],
+        ["spectrum", "--family", "fourier"],
+        ["theorem-check", "--family", "example2"],
+        ["sweep", "--samples", "2"],
+        ["verify-all"],
+    ], ids=" ".join)
+    def test_past_cap_refused(self, argv, capsys):
+        assert main([*argv, "--n", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n = 5 needs stacks of 20000 bytes, more than the cap of 8192\n"
+        assert main([*argv, "--n", "4"]) == 0
+
+    def test_matrix_file_past_cap_refused(self, tmp_path, capsys):
+        for n in (4, 5):
+            save_matrix(tmp_path / f"haar{n}.json", haar_random_unitary(n, seed=n).matrix)
+        assert main(["theorem-check", "--matrix-file", str(tmp_path / "haar5.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than the cap" in captured.err
+        assert main(["theorem-check", "--matrix-file", str(tmp_path / "haar4.json")]) == 0
+
+    def test_refused_sweep_keeps_per_sample_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("earlier rows\n")
+        assert main(["sweep", "--n", "5", "--per-sample", str(csv_path)]) == 1
+        assert csv_path.read_text() == "earlier rows\n"
 
 
 def test_usage_error_exit_code():

@@ -17,6 +17,7 @@ from berezin_lab import (
 from berezin_lab import spectral, symmetry
 from berezin_lab.spectral import (
     MIX,
+    PENCIL_ANGLES,
     cluster_eigenvalues,
     eigenvalue_multiplicity,
     standardized_matrix,
@@ -224,15 +225,40 @@ def test_fourier_eigenvalues_are_unit_roots():
 # the real symmetric structure of the standardized matrix
 
 
-def f2_cubed_perturbed(eps):
-    """F2 x F2 x F2 (kernel 36 at n = 8) left-multiplied by exp(eps X), X the
-    skew part of a seeded complex Gaussian: near-degenerate spectra."""
-    f2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    f = np.kron(np.kron(f2, f2), f2)
+def fourier_product(*orders):
+    """F_{a1} x ... x F_{ar}, the Fourier matrix of Z_{a1} x ... x Z_{ar}."""
+    f = np.ones((1, 1))
+    for a in orders:
+        f = np.kron(f, fourier_matrix(a).matrix)
+    return f
+
+
+def perturbed(f, eps):
+    """The unitary f left-multiplied by exp(eps X), X the skew part of a
+    seeded complex Gaussian: near-degenerate spectra."""
+    n = len(f)
     rng = np.random.default_rng(5)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     lam, v = np.linalg.eigh(-1j * (g - g.conj().T) / 2)
     return validate_unitary((v * np.exp(1j * eps * lam)) @ v.conj().T @ f)
+
+
+def f2_cubed_perturbed(eps):
+    """F2 x F2 x F2 (kernel 36 at n = 8) with real entries, perturbed by
+    eps."""
+    f2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    return perturbed(np.kron(np.kron(f2, f2), f2), eps)
+
+
+def singular_values_of_s_minus_one(u):
+    s = standardized_matrix(build_berezin(u))
+    return np.linalg.svd(s - np.eye(len(s)), compute_uv=False)
+
+
+def svd_count(u):
+    """The oracle for the multiplicity of 1: singular values of S - I
+    below 1e-8 n."""
+    return int(np.sum(singular_values_of_s_minus_one(u) < 1e-8 * u.n))
 
 
 STRUCTURED = {
@@ -308,7 +334,7 @@ class TestJacobianOnTheScaleOfS:
     ], ids=["haar3", "haar4", "haar8", "haar16", "F4", "F6", "F8", "F2^3"])
     def test_singular_values_match_kernel_svd(self, u):
         jacobian = np.sort(jacobian_report(u).singular_values)
-        berezin = np.sort(spectral._kernel_svd(standardized_matrix(build_berezin(u)), 1.0))
+        berezin = np.sort(singular_values_of_s_minus_one(u))
         np.testing.assert_allclose(jacobian, berezin, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eps, kernel", [(1e-6, 15), (3e-7, 17), (1e-7, 19), (3e-8, 27)])
@@ -317,6 +343,68 @@ class TestJacobianOnTheScaleOfS:
         report = jacobian_report(f2_cubed_perturbed(eps))
         assert report.kernel_dim == report.berezin_multiplicity_of_one == kernel
         assert report.theorem_holds
+
+
+class TestPencilCount:
+    """The multiplicity of 1 from the two real symmetric pencils equals the
+    count of small singular values of S - I."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_haar(self, n, seed):
+        u = haar_random_unitary(n, seed=seed)
+        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_fourier(self, n):
+        u = fourier_matrix(n)
+        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u) == invariant_pair_count(n)
+
+    @pytest.mark.parametrize("orders, kernel", [
+        ((2, 2, 2), 36), ((4, 4), 88), ((2, 2, 2, 2), 136), ((2, 3), 15), ((3, 3), 33),
+    ], ids=str)
+    def test_fourier_products(self, orders, kernel):
+        u = validate_unitary(fourier_product(*orders))
+        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u) == kernel
+
+    @pytest.mark.parametrize("eps", [
+        10.0**k * m for k in range(-11, -3) for m in (1, 3)] + [1e-3])
+    @pytest.mark.parametrize("orders", [(2, 2, 2), (4,), (6,)], ids=str)
+    def test_epsilon_scan(self, orders, eps):
+        u = perturbed(fourier_product(*orders), eps)
+        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+
+    @pytest.mark.parametrize("k", range(len(PENCIL_ANGLES)))
+    def test_eigenvalues_at_a_spurious_point(self, k):
+        # the pencil at PENCIL_ANGLES[k] vanishes on the 3 eigenvectors of
+        # -e^{2 i phi_k} as on the 5 of 1; the other pencil does not
+        spurious = -np.exp(2j * PENCIL_ANGLES[k])
+        rng = np.random.default_rng(17)
+        lam = np.concatenate([np.ones(5), np.full(3, spurious),
+                              np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        s = (q * lam) @ q.T
+        assert spectral._multiplicity(s, 1.0) == 5
+        assert spectral._multiplicity(s, spurious) == 3
+        assert spectral._multiplicity(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
+
+    def test_value_off_the_unit_circle(self):
+        b = build_berezin(fourier_matrix(4))
+        assert eigenvalue_multiplicity(b, 1.0) == 8
+        assert eigenvalue_multiplicity(b, 1.0 + 1e-9) == 8  # within 4e-8 of the circle
+        assert eigenvalue_multiplicity(b, 1.0 + 1e-6) == 0
+        assert eigenvalue_multiplicity(b, 0.0) == 0
+
+    def test_eigenspace_of_f2_cubed(self):
+        u = validate_unitary(fourier_product(2, 2, 2))
+        b, space = berezin_and_space(u)
+        fixed = eigenspace_of_one(b)
+        assert len(fixed) == 36
+        for f in fixed:
+            assert np.max(np.abs(f.imag)) == 0.0
+            assert space.norm(b.apply(f) - f) < 1e-10
+        gram = np.array([[space.inner(f, g) for g in fixed] for f in fixed])
+        np.testing.assert_allclose(gram, np.eye(36), atol=1e-10)
 
 
 class TestEigenvaluesAgainstEigvals:
