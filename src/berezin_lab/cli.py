@@ -65,16 +65,24 @@ EXIT_ZERO_ENTRY = 5
 
 THETA_HELP = "'re,im' or 'angle:<radians>'"
 
-# Commands are sized by 32 n^4 bytes, the Jacobian's complex directions with
-# their real part; an n past this cap (n > 76) is refused before anything of
-# that size is allocated.  Peaks run higher: at n = 20, numpy's traced peak
-# is 1.3 (spectrum) to 2.1 (verify-all) times 32 n^4.
+# Each command is charged its peak of numpy arrays in bytes per n^4, as
+# tracemalloc measures it at n = 12 to 20 (the multiple falls as n grows):
+# theorem-check and a sweep sample hold S, the Berezin side's real buffer
+# and a Cholesky factor (32 n^4); spectrum adds the eigenvectors of
+# X + tan(1) Y and Y Q (40 n^4); verify-all holds S beside the composed
+# Berezin matrix (66 to 72 n^4).  LAPACK's own copy of the matrix it works
+# on, up to 8 n^4 more, is not counted.  A sweep chunk holds several
+# samples only while they fit 8 MiB, and past n = 18 it holds one.  An n
+# whose charge passes the cap (n > 62 for verify-all, n > 70 for spectrum,
+# n > 75 for the others) is refused before anything of that size is built.
+STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": 33, "sweep": 33, "verify-all": 72}
 MAX_STACK_BYTES = 2**30
 
 
-def _require_size(n: int) -> None:
-    if 32 * n**4 > MAX_STACK_BYTES:
-        raise ValueError(f"n = {n} needs stacks of {32 * n**4} bytes, "
+def _require_size(command: str, n: int) -> None:
+    charge = STACK_BYTES_PER_N4[command] * n**4
+    if charge > MAX_STACK_BYTES:
+        raise ValueError(f"n = {n} needs stacks of {charge} bytes, "
                          f"more than the cap of {MAX_STACK_BYTES}")
 
 
@@ -153,7 +161,7 @@ def _load_input_matrix(args) -> Unitary:
         raise ValueError(f"{source} input does not take {', '.join(unread)}")
     if source == "matrix-file":
         m = load_matrix(args.matrix_file)
-        _require_size(len(m))
+        _require_size(args.command, len(m))
         return validate_unitary(m, tol=_input_flag(args, "tol"))
     n = _input_flag(args, "n")
     if source == "fourier":
@@ -351,7 +359,7 @@ def main(argv=None) -> int:
         parser.error("n must be >= 1")
     try:
         if args.n is not None:
-            _require_size(args.n)
+            _require_size(args.command, args.n)
         return globals()[args.func](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,14 @@ S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from that structure:
 eigenvalues from one real symmetric eigendecomposition, multiplicities
-from the small eigenvalues of two real symmetric pencils of X and Y.
+from the small eigenvalues of one real symmetric pencil of X and Y, once a
+Cholesky factorization certifies that the pencil's one spurious zero holds
+no eigenvalue; only where it does not does a second pencil run.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,8 +38,17 @@ RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 # the angles phi of the pencils Y + tan(phi) (I - X) that count the
 # multiplicity of 1; each also vanishes at its spurious point -e^{2 i phi},
 # and the two points, e^{i (pi + 1)} and e^{i (pi - 1.4)}, are distinct and
-# no root of unity
+# no root of unity.  The second pencil runs only where the certificate fails.
 PENCIL_ANGLES = (0.5, -0.7)
+# The certificate is a Cholesky factorization of
+# (1 - CERTIFICATE_MARGIN) I - Re(conj(z) conj(v) S), z the first pencil's
+# spurious point: it succeeds only when no eigenvalue of conj(v) S lies
+# within sqrt(2 CERTIFICATE_MARGIN) = 1.4e-5 of z.  The margin is far above
+# the rounding of the factorization, n^2 eps ||A|| <= 2.6e-12 for n <= 76
+# (the CLI's size caps admit less), and 1.4e-5 is far above the rank
+# threshold 1e-8 n <= 7.6e-7, so past it the pencil's zero at z counts
+# nothing.
+CERTIFICATE_MARGIN = 1e-10
 
 
 def kernel_dim(singular_values: np.ndarray, n: int):
@@ -54,13 +66,12 @@ def standardized_matrix(op: BerezinTransform) -> np.ndarray:
 
 def _standardized(m: np.ndarray) -> np.ndarray:
     """The standardized matrix S of each unitary matrix in m, an n x n
-    matrix or a stack of them along leading axes."""
+    matrix or a stack of them along leading axes, in one multiply:
+    S[(k,l),(k',l')] = a[k,l,l'] a[k',l',l] with a[k,l,l'] = p[k,l] u[k,l']."""
     n = m.shape[-1]
-    p = np.abs(m) / m
-    mt = np.swapaxes(m, -1, -2)
-    s = m[..., :, np.newaxis, np.newaxis, :] * mt[..., np.newaxis, :, :, np.newaxis]
-    s *= p[..., :, :, np.newaxis, np.newaxis]
-    s *= p[..., np.newaxis, np.newaxis, :, :]
+    a = (np.abs(m) / m)[..., :, :, np.newaxis] * m[..., :, np.newaxis, :]
+    b = np.ascontiguousarray(np.moveaxis(a, -1, -3))  # b[l,k',l'] = a[k',l',l]
+    s = a[..., :, :, np.newaxis, :] * b[..., np.newaxis, :, :, :]
     return s.reshape(*m.shape[:-2], n * n, n * n)
 
 
@@ -138,12 +149,8 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
     the run's columns span an invariant subspace, and the small matrix
     Q_run^T S Q_run carries those eigenvalues.  A true degenerate
     eigenspace has eigenvector columns and never takes that branch."""
-    mixed = MIX * s.imag
-    mixed += s.real
-    try:
-        mu, q = np.linalg.eigh(mixed)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
+    mixed = _real_part(s, 1.0 - 1j * MIX, 0.0, np.empty(s.shape))
+    mu, q = _solve(np.linalg.eigh, mixed)
     del mixed  # one n^4 buffer fewer at peak
     yq = np.ascontiguousarray(s.imag) @ q
     b = np.einsum("ij,ij->j", q, yq)
@@ -158,58 +165,94 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
         cols = np.flatnonzero(run == r)
         if cols.size > 1:
             qr = q[:, cols]
-            try:
-                values[cols] = np.linalg.eigvals(qr.T @ (s @ qr))
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverFailure(str(exc)) from exc
+            values[cols] = _solve(np.linalg.eigvals, qr.T @ (s @ qr))
     return values
 
 
-def _pencil_spectra(s: np.ndarray, value: complex, vectors: bool = False):
-    """Yield eigvalsh (eigh if vectors) of the pencil M_phi of S conj(v),
-    v = value / |value|, for each phi of PENCIL_ANGLES; S is one matrix or
-    a stack along leading axes.
-
-    With conj(v) S = X' + i Y', M_phi = Y' + tan(phi) (I - X') is real
-    symmetric and has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi)
-    on the eigenvector of each eigenvalue e^{it} of conj(v) S.  Near t = 0
-    that is |e^{it} - 1| (1 + O(t)), the scale of the singular values of
-    S - v.  Each pencil is built in one reused real buffer, as a X + b Y
-    from the interleaved real and imaginary parts of S, with no complex
-    temporary."""
-    c = complex(value).conjugate() / abs(value)
+def _real_part(s: np.ndarray, w: complex, shift: float, out: np.ndarray) -> np.ndarray:
+    """Re(w S) + shift I, for S or each S of a stack, into the real buffer
+    out: Re(w S) = Re w X - Im w Y, taken from the interleaved real and
+    imaginary parts of S with no complex temporary, in one pass.  X + MIX Y,
+    every pencil and every certificate matrix is built this way; the
+    pencils and the certificate share one buffer."""
     parts = s.view(np.float64).reshape(*s.shape, 2)
-    pencil = np.empty(s.shape)
-    diag = np.arange(s.shape[-1])
-    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    for phi in PENCIL_ANGLES:
-        t = math.tan(phi)
-        # Re(c S) = Re c X - Im c Y and Im(c S) = Im c X + Re c Y
-        np.matmul(parts, [c.imag - t * c.real, c.real + t * c.imag], out=pencil)
-        pencil[..., diag, diag] += t
-        try:
-            yield solve(pencil)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(str(exc)) from exc
+    np.matmul(parts, [w.real, -w.imag], out=out)
+    diag = np.arange(out.shape[-1])
+    out[..., diag, diag] += shift
+    return out
+
+
+def _pencil(s: np.ndarray, c: complex, phi: float, out: np.ndarray) -> np.ndarray:
+    """The pencil M_phi = Y' + tan(phi) (I - X') of c S = X' + i Y', which is
+    Re(-(tan(phi) + i) c S) + tan(phi) I, into out.  It is real symmetric
+    and has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the
+    eigenvector of each eigenvalue e^{it} of c S.  Near t = 0 that is
+    |e^{it} - 1| (1 + O(t)), the scale of the singular values of S - v; it
+    also vanishes at the spurious point t = pi + 2 phi."""
+    t = math.tan(phi)
+    return _real_part(s, -(t + 1j) * c, t, out)
+
+
+def _certified(s: np.ndarray, c: complex, out: np.ndarray) -> np.ndarray:
+    """Whether c S has no eigenvalue e^{it} within sqrt(2 CERTIFICATE_MARGIN)
+    of the first pencil's spurious point e^{i t0}, t0 = pi + 2 PENCIL_ANGLES[0],
+    a bool array over the leading axes of S.  The matrix
+    A = (1 - CERTIFICATE_MARGIN) I - Re(e^{-i t0} c S), built into out, has
+    the eigenvalues 1 - CERTIFICATE_MARGIN - cos(t - t0), and its Cholesky
+    factorization succeeds when it is positive definite."""
+    a = _real_part(s, c * cmath.exp(-2j * PENCIL_ANGLES[0]), 1.0 - CERTIFICATE_MARGIN, out)
+    return _positive_definite(a)
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has a Cholesky factorization; a stack
+    in which one fails is factored again matrix by matrix."""
+    try:
+        np.linalg.cholesky(a)
+        return np.ones(a.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
+            return np.zeros((), dtype=bool)
+    return np.array([_positive_definite(b) for b in a])
+
+
+def _solve(solve, a: np.ndarray):
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
 
 
 def _multiplicity(s: np.ndarray, value: complex):
     """The number of eigenvalues of S within KERNEL_RANK_TOL * n of value,
-    for S or each S of a stack (a list): the smaller of the counts of
-    small eigenvalues of the two pencils.
+    for S or each S of a stack (a list): the count of small eigenvalues of
+    the first pencil of S conj(v), v = value / |value|, where the
+    certificate holds, and the smaller of the two pencils' counts where it
+    fails.
 
-    Each pencil also vanishes on the eigenvector of the spurious point
-    -v e^{2 i phi}, so the count overstates only if S has eigenvalues
-    within about the threshold of both spurious points.  An overcount makes
-    the Berezin side disagree with the Jacobian or with the clustering, so
-    it exits as a failed check, never as a silent pass.  Every eigenvalue
-    lies on the unit circle, so a value whose modulus is farther than the
-    threshold from 1 has multiplicity 0."""
+    A certified count is exact: the first pencil's one other zero, at its
+    spurious point, holds no eigenvalue.  The smaller count overstates only
+    if S has eigenvalues within about the threshold of both spurious
+    points.  An overcount makes the Berezin side disagree with the Jacobian
+    or with the clustering, so it exits as a failed check, never as a
+    silent pass.  Every eigenvalue lies on the unit circle, so a value
+    whose modulus is farther than the threshold from 1 has multiplicity 0."""
     n = math.isqrt(s.shape[-1])
     if abs(abs(value) - 1.0) >= KERNEL_RANK_TOL * n:
         return np.zeros(s.shape[:-2], dtype=int).tolist()
-    counts = [kernel_dim(np.abs(mu), n) for mu in _pencil_spectra(s, value)]
-    return np.minimum(*counts).tolist()
+    c = complex(value).conjugate() / abs(value)
+    buf = np.empty(s.shape)
+
+    def count(phi, i=...):
+        mu = _solve(np.linalg.eigvalsh, _pencil(s[i], c, phi, buf[i]))
+        return np.asarray(kernel_dim(np.abs(mu), n))
+
+    counts = count(PENCIL_ANGLES[0])
+    # the second pencil runs on each uncertified S alone, in its own slice
+    # of the buffer
+    for i in map(tuple, np.argwhere(~_certified(s, c, buf))):
+        counts[i] = min(counts[i], count(PENCIL_ANGLES[1], i))
+    return counts.tolist()
 
 
 def spectrum(op: BerezinTransform) -> SpectralSummary:
@@ -239,27 +282,37 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
 
 
 def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
-    """The multiplicity of value as an eigenvalue of B~, counted from two
-    real symmetric pencils without computing the spectrum."""
+    """The multiplicity of value as an eigenvalue of B~, counted from one
+    real symmetric pencil and a Cholesky certificate (two pencils where
+    the certificate fails) without computing the spectrum."""
     return eigenvalue_multiplicities(op.u.matrix, value)
 
 
 def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
     """eigenvalue_multiplicity for the transform of the unitary matrix m, or
     for each matrix of a stack along leading axes (a list), with one
-    batched eigvalsh per pencil.  The entries of m must be nonzero."""
+    batched eigvalsh and one batched Cholesky factorization.  The entries
+    of m must be nonzero."""
     return _multiplicity(_standardized(m), value)
 
 
 def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
     """Real-valued basis of ker(B - Id), orthonormal in the weighted
     product: the eigenvectors of eigenvalue below KERNEL_RANK_TOL * n of
-    the pencil with fewer of them, the count _multiplicity takes.  The
-    eigenspace is closed under complex conjugation, so the same functions
-    times i form a basis of purely imaginary eigenfunctions."""
+    the first pencil, or, where the certificate fails, of the pencil with
+    fewer of them, the count _multiplicity takes.  The eigenspace is closed
+    under complex conjugation, so the same functions times i form a basis
+    of purely imaginary eigenfunctions."""
     n = op.n
-    kernels = [q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
-               for mu, q in _pencil_spectra(standardized_matrix(op), 1.0, vectors=True)]
-    basis = min(kernels, key=lambda q: q.shape[1])
+    s = standardized_matrix(op)
+    buf = np.empty(s.shape)
+
+    def kernel(phi):
+        mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, phi, buf))
+        return q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
+
+    basis = kernel(PENCIL_ANGLES[0])
+    if not _certified(s, 1.0, buf):
+        basis = min(basis, kernel(PENCIL_ANGLES[1]), key=lambda q: q.shape[1])
     w = np.abs(op.u.matrix)
     return [(v.reshape(n, n) / w).astype(complex) for v in basis.T]

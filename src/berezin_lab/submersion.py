@@ -13,10 +13,10 @@ from .errors import NotSkewHermitianError, NotTangentError
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
-# Memory a sweep chunk may take: at the Jacobian side's peak, a sample
-# holds 32 n^4 bytes of stacks (the complex (X u) * conj(u) over n^2
-# directions and its real part); the Berezin side's S and one real pencil
-# take 24 n^4.
+# Memory a sweep chunk may take, at 32 n^4 bytes of stacks per sample: the
+# Berezin side's peak, its complex S (16 n^4), the real buffer of the pencil
+# and certificate (8 n^4) and the Cholesky factor (8 n^4).  The Jacobian
+# side holds its real Jacobian (8 n^4), freed before the Berezin side runs.
 _CHUNK_BYTES = 8 * 2**20
 
 
@@ -50,7 +50,8 @@ def tangent_direction(u: Unitary | np.ndarray, x: np.ndarray) -> np.ndarray:
     The result has vanishing row and column sums (it is tangent to the
     affine space of doubly stochastic matrices).  u is a Unitary, or
     unitary matrices stacked along leading axes; x is one matrix or a
-    stack of them along leading axes, broadcast against u."""
+    stack of them along leading axes, broadcast against u.  The Jacobian
+    is built in closed form; this is its reference."""
     m = u.matrix if isinstance(u, Unitary) else u
     return 2.0 * np.real((_skew_hermitian(x) @ m) * np.conj(m))
 
@@ -105,13 +106,40 @@ def jacobian_report(u: Unitary) -> JacobianReport:
     with the Berezin multiplicity of 1 computed by the entirely independent
     spectral pipeline.  A sweep runs the same code on a stack of samples."""
     require_nonzero(u)
-    return _jacobian_reports(u.matrix[np.newaxis], skew_hermitian_basis(u.n))[0]
+    return _jacobian_reports(u.matrix[np.newaxis])[0]
 
 
-def _jacobian_reports(m: np.ndarray, basis: np.ndarray) -> list[JacobianReport]:
+def _jacobians(m: np.ndarray) -> np.ndarray:
+    """The Jacobian of each unitary of a (samples, n, n) stack whose entries
+    are all nonzero, as a (samples, n^2, n^2) real stack: column b is
+    tangent_direction(u, skew_hermitian_basis(n)[b]) / |u|, flattened
+    row-major, built in closed form.
+
+    A diagonal element i E_kk pushes to 2 Re(i |u|^2) = 0, so the first n
+    columns are zero.  The pair (i, j) moves only rows i and j of u: with
+    g_l = sqrt(2) u_jl conj(u_il), its antisymmetric-real element gives
+    Re g_l / |u_il| at (i, l) and -Re g_l / |u_jl| at (j, l), and its
+    symmetric-imaginary element -Im g_l / |u_il| and Im g_l / |u_jl|."""
+    count, n = len(m), m.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    col = n + 2 * np.arange(len(i))[:, np.newaxis]
+    row_i = i[:, np.newaxis] * n + np.arange(n)
+    row_j = j[:, np.newaxis] * n + np.arange(n)
+    w = np.abs(m)
+    g = math.sqrt(2.0) * m[:, j] * np.conj(m[:, i])
+    gi, gj = g / w[:, i], g / w[:, j]
+    jac = np.zeros((count, n * n, n * n))
+    jac[:, row_i, col] = gi.real
+    jac[:, row_j, col] = -gj.real
+    jac[:, row_i, col + 1] = -gi.imag
+    jac[:, row_j, col + 1] = gj.imag
+    return jac
+
+
+def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
     """jacobian_report for each unitary of a (samples, n, n) stack whose
-    entries are all nonzero, with one batched Jacobian SVD and one batched
-    eigvalsh per Berezin pencil.
+    entries are all nonzero, with one batched Jacobian SVD and, on the
+    Berezin side, one batched eigvalsh and Cholesky factorization.
 
     Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
     differential of 2|u| in place of |u|^2: the kernel is the same since
@@ -119,12 +147,9 @@ def _jacobian_reports(m: np.ndarray, basis: np.ndarray) -> list[JacobianReport]:
     |1 - lambda_j| over the Berezin eigenvalues lambda_j, those of S - I.
     Unscaled, they shrink by up to min|u_kl| and fall below the rank
     threshold while the Berezin side's stay above it."""
-    count, n = len(m), m.shape[-1]
-    directions = tangent_direction(m[:, np.newaxis], basis)
-    directions /= np.abs(m)[:, np.newaxis]
-    jac = np.swapaxes(directions.reshape(count, n * n, n * n), -1, -2)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    del directions, jac  # free the Jacobians before the Berezin side's stacks
+    n = m.shape[-1]
+    # the Jacobians are freed before the Berezin side's stacks are built
+    sv = np.linalg.svd(_jacobians(m), compute_uv=False)
     reports = []
     for values, kernel, mult in zip(sv, kernel_dim(sv, n), eigenvalue_multiplicities(m)):
         rank = n * n - kernel
@@ -194,7 +219,6 @@ def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepRep
     (index, JacobianReport or None) pairs in index order (streaming hook
     for the CLI)."""
     check_sweep_args(n, samples)
-    basis = skew_hermitian_basis(n)
     size = _chunk_size(n)
     skipped = 0
     submersive = 0
@@ -203,7 +227,7 @@ def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepRep
     for start in range(0, samples, size):
         indices = range(start, min(start + size, samples))
         m, nonzero = haar_unitary_stack(n, [[seed, i] for i in indices])
-        ranked = iter(_jacobian_reports(m[nonzero], basis))
+        ranked = iter(_jacobian_reports(m[nonzero]))
         chunk = [(i, next(ranked) if ok else None) for i, ok in zip(indices, nonzero)]
         if on_chunk is not None:
             on_chunk(chunk)

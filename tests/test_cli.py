@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,24 +296,26 @@ class TestVerifyAllCommand:
 class TestSizeCap:
     """An n whose stacks pass MAX_STACK_BYTES is a usage error, refused
     before anything is built; the cap is lowered here so that n = 5 is
-    past it and n = 4 is not."""
+    past it and n = 4 is not, for every command."""
 
     @pytest.fixture(autouse=True)
     def cap_at_n4(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_STACK_BYTES", 32 * 4**4)
+        monkeypatch.setattr(cli, "MAX_STACK_BYTES", 72 * 4**4)
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--family", "haar"],
-        ["spectrum", "--family", "fourier"],
-        ["theorem-check", "--family", "example2"],
-        ["sweep", "--samples", "2"],
-        ["verify-all"],
-    ], ids=" ".join)
-    def test_past_cap_refused(self, argv, capsys):
+    @pytest.mark.parametrize("argv, charge", [
+        pytest.param(argv, charge, id=" ".join(argv)) for argv, charge in [
+            (["spectrum", "--family", "haar"], 44 * 5**4),
+            (["spectrum", "--family", "fourier"], 44 * 5**4),
+            (["theorem-check", "--family", "example2"], 33 * 5**4),
+            (["sweep", "--samples", "2"], 33 * 5**4),
+            (["verify-all"], 72 * 5**4),
+        ]])
+    def test_past_cap_refused(self, argv, charge, capsys):
         assert main([*argv, "--n", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: n = 5 needs stacks of 20000 bytes, more than the cap of 8192\n"
+        assert captured.err == (f"error: n = 5 needs stacks of {charge} bytes, "
+                                f"more than the cap of 18432\n")
         assert main([*argv, "--n", "4"]) == 0
 
     def test_matrix_file_past_cap_refused(self, tmp_path, capsys):
@@ -328,6 +331,31 @@ class TestSizeCap:
         csv_path.write_text("earlier rows\n")
         assert main(["sweep", "--n", "5", "--per-sample", str(csv_path)]) == 1
         assert csv_path.read_text() == "earlier rows\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "haar"],
+    ["spectrum", "--family", "fourier", "--format", "csv"],
+    ["spectrum", "--family", "example2", "--theta", "angle:-1", "--format", "text"],
+    ["theorem-check", "--family", "haar"],
+    ["theorem-check", "--family", "example2", "--theta", "angle:-1"],
+    # one sample per chunk, as every sweep has past n = 18
+    ["sweep", "--samples", "1"],
+    ["verify-all"],
+], ids=" ".join)
+def test_peak_within_size_charge(argv, capsys):
+    """Each command's traced peak at n = 16 stays within what the size cap
+    charges it."""
+    argv = [*argv, "--n", "16"]
+    main(argv)  # first-call allocations
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= cli.STACK_BYTES_PER_N4[argv[0]] * 16**4
 
 
 def test_usage_error_exit_code():

@@ -407,6 +407,70 @@ class TestPencilCount:
         np.testing.assert_allclose(gram, np.eye(36), atol=1e-10)
 
 
+class TestCertificate:
+    """One pencil counts the multiplicity of 1 where a Cholesky
+    factorization certifies that its spurious point holds no eigenvalue;
+    the second pencil runs only where it does not."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_one_solve_for_haar(self, solves):
+        assert eigenvalue_multiplicity(build_berezin(haar_random_unitary(16, seed=18))) == 31
+        assert solves == [(256, 256)]
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_one_solve_for_fourier(self, n, solves):
+        assert eigenvalue_multiplicity(build_berezin(fourier_matrix(n))) == invariant_pair_count(n)
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_two_solves_with_eigenvalues_at_the_spurious_point(self, n, solves):
+        # the symmetric family at theta = e^{-i} has eigenvalues exactly at
+        # the first pencil's spurious point -e^{i}
+        assert eigenvalue_multiplicity(build_berezin(symmetric_family_matrix(n, np.exp(-1j)))) == 2 * n - 1
+        assert len(solves) == 2
+
+    def test_batched_solve_refactors_only_uncertified(self, solves):
+        # one uncertified sample in a stack of three runs one more solve,
+        # on that sample alone
+        m = np.stack([haar_random_unitary(5, seed=19).matrix,
+                      symmetric_family_matrix(5, np.exp(-1j)).matrix,
+                      fourier_matrix(5).matrix])
+        assert spectral.eigenvalue_multiplicities(m) == [9, 9, 9]
+        assert solves == [(3, 25, 25), (25, 25)]
+
+    @pytest.mark.parametrize("d, certified", [
+        (0.0, False), (1e-7, False), (1e-5, False), (2e-5, True), (1e-3, True)])
+    def test_eigenvalue_near_the_spurious_point(self, d, certified):
+        # S = Q diag(e^{i theta}) Q^T with 9 eigenvalues at 1 and one at
+        # distance d along the circle from the spurious point z
+        z = -np.exp(2j * PENCIL_ANGLES[0])
+        rng = np.random.default_rng(20)
+        lam = np.concatenate([np.ones(9), [z * np.exp(1j * d)],
+                              np.exp(1j * rng.uniform(-3.0, 3.0, 54))])
+        q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        s = (q * lam) @ q.T
+        oracle = int(np.sum(np.linalg.svd(s - np.eye(64), compute_uv=False) < 1e-8 * 8))
+        assert spectral._multiplicity(s, 1.0) == oracle == 9
+        assert bool(spectral._certified(s, 1.0, np.empty(s.shape))) == certified
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_haar_n16(self, seed):
+        u = haar_random_unitary(16, seed=seed)
+        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+
+
 class TestEigenvaluesAgainstEigvals:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
