@@ -68,14 +68,16 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 # Each command is charged its peak of numpy arrays in bytes per n^4, as
 # tracemalloc measures it at n = 12 to 20 (the multiple falls as n grows):
 # theorem-check and a sweep sample hold S, the Berezin side's real buffer
-# and a Cholesky factor (32 n^4); spectrum adds the eigenvectors of
-# X + tan(1) Y and Y Q (40 n^4); verify-all holds S beside the composed
-# Berezin matrix (66 to 72 n^4).  LAPACK's own copy of the matrix it works
-# on, up to 8 n^4 more, is not counted.  A sweep chunk holds several
-# samples only while they fit 8 MiB, and past n = 18 it holds one.  An n
-# whose charge passes the cap (n > 62 for verify-all, n > 70 for spectrum,
-# n > 75 for the others) is refused before anything of that size is built.
-STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": 33, "sweep": 33, "verify-all": 72}
+# and a Cholesky factor (32 n^4); spectrum adds the eigenvectors of the
+# pencil it counts with and Y Q (40 n^4); verify-all peaks at the
+# berezin-consistency row, where S stands beside the composed Berezin
+# matrix and their difference (57 to 64 n^4), and frees the composed matrix
+# before the later rows.  LAPACK's own copy of the matrix it works on, up
+# to 8 n^4 more, is not counted.  A sweep chunk holds several samples only
+# while they fit 8 MiB, and past n = 18 it holds one.  An n whose charge
+# passes the cap (n > 64 for verify-all, n > 70 for spectrum, n > 75 for
+# the others) is refused before anything of that size is built.
+STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": 33, "sweep": 33, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
 
 
@@ -270,8 +272,10 @@ def _verify_checks(n, theta, tol, seed):
     yield "conjugation", cdev, limit(1e-12)
 
     w = np.abs(u.matrix).ravel()
-    composed = w[:, np.newaxis] * berezin_from_composition(u) / w[np.newaxis, :]
-    consistency = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
+    # the composed matrix (16 n^4 bytes) has no name, so it is freed before
+    # this generator runs the later rows
+    consistency = np.max(np.abs(w[:, np.newaxis] * berezin_from_composition(u) / w[np.newaxis, :]
+                                - standardized_matrix(build_berezin(u))))
     yield "berezin-consistency", float(consistency), limit(1e-9)
 
     yield "weyl", check_weyl_relations(n), limit(1e-12)

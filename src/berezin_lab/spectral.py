@@ -9,11 +9,11 @@ W = diag(|u_kl|) gives the standardized matrix
 which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
-S q_j = (a_j + i b_j) q_j.  Everything here works from that structure:
-eigenvalues from one real symmetric eigendecomposition, multiplicities
-from the small eigenvalues of one real symmetric pencil of X and Y, once a
-Cholesky factorization certifies that the pencil's one spurious zero holds
-no eigenvalue; only where it does not does a second pencil run.
+S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
+pencil of X and Y: multiplicities are its small eigenvalues, once a
+Cholesky factorization certifies that its one spurious zero holds no
+eigenvalue (only where it does not does a second pencil run), and the
+spectrum comes from the eigenvectors of the same solve.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from .symbols import BerezinTransform
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
 CLUSTER_TOL = 1e-8  # eigenvalues closer than this to a cluster's mean join it
-# X + MIX Y has the eigenvalue a + MIX b = sec(1) cos(theta - 1) on the
-# eigenvector of e^{i theta}, so two eigenvalues share it only when their
-# angles sum to 2 mod 2 pi, which no two roots of unity do
-MIX = math.tan(1.0)
-RUN_GAP = 1e-6  # eigenvalues of X + MIX Y closer than this form one run
+RUN_GAP = 1e-6  # eigenvalues of the first pencil closer than this form one run
 RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 # the angles phi of the pencils Y + tan(phi) (I - X) that count the
 # multiplicity of 1; each also vanishes at its spurious point -e^{2 i phi},
 # and the two points, e^{i (pi + 1)} and e^{i (pi - 1.4)}, are distinct and
 # no root of unity.  The second pencil runs only where the certificate fails.
+# Two eigenvalues of S share an eigenvalue of the first pencil only when
+# their angles sum to pi + 1 mod 2 pi, which no two roots of unity do.
 PENCIL_ANGLES = (0.5, -0.7)
 # The certificate is a Cholesky factorization of
 # (1 - CERTIFICATE_MARGIN) I - Re(conj(z) conj(v) S), z the first pencil's
@@ -139,42 +137,12 @@ def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list, np.ndarra
     return [(s / c, c) for s, c in zip(sums, counts)], ids
 
 
-def _eigenvalues(s: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric unitary S, in the order of the
-    eigenvalues mu of X + MIX Y.
-
-    A column q of eigh(X + MIX Y) is a joint eigenvector of X and Y unless
-    its mu is shared; it gives b = q^T Y q and a = mu - MIX b.  Within a
-    run of mu closer than RUN_GAP whose columns are not eigenvectors of S,
-    the run's columns span an invariant subspace, and the small matrix
-    Q_run^T S Q_run carries those eigenvalues.  A true degenerate
-    eigenspace has eigenvector columns and never takes that branch."""
-    mixed = _real_part(s, 1.0 - 1j * MIX, 0.0, np.empty(s.shape))
-    mu, q = _solve(np.linalg.eigh, mixed)
-    del mixed  # one n^4 buffer fewer at peak
-    yq = np.ascontiguousarray(s.imag) @ q
-    b = np.einsum("ij,ij->j", q, yq)
-    values = (mu - MIX * b) + 1j * b
-    # with M = X + MIX Y, (X - a) q = (M - mu) q - MIX (Y - b) q, and eigh
-    # leaves (M - mu) q at rounding level, so
-    # ||(S - lambda) q|| = hypot(1, MIX) ||(Y - b) q||
-    yq -= q * b
-    residual = math.hypot(1.0, MIX) * np.linalg.norm(yq, axis=0)
-    run = np.concatenate([[0], np.cumsum(np.diff(mu) > RUN_GAP)])
-    for r in np.unique(run[residual > RESIDUAL_TOL]):
-        cols = np.flatnonzero(run == r)
-        if cols.size > 1:
-            qr = q[:, cols]
-            values[cols] = _solve(np.linalg.eigvals, qr.T @ (s @ qr))
-    return values
-
-
 def _real_part(s: np.ndarray, w: complex, shift: float, out: np.ndarray) -> np.ndarray:
     """Re(w S) + shift I, for S or each S of a stack, into the real buffer
     out: Re(w S) = Re w X - Im w Y, taken from the interleaved real and
-    imaginary parts of S with no complex temporary, in one pass.  X + MIX Y,
-    every pencil and every certificate matrix is built this way; the
-    pencils and the certificate share one buffer."""
+    imaginary parts of S with no complex temporary, in one pass.  Every
+    pencil and every certificate matrix is built this way, into one shared
+    buffer."""
     parts = s.view(np.float64).reshape(*s.shape, 2)
     np.matmul(parts, [w.real, -w.imag], out=out)
     diag = np.arange(out.shape[-1])
@@ -223,48 +191,83 @@ def _solve(solve, a: np.ndarray):
         raise EigensolverFailure(str(exc)) from exc
 
 
-def _multiplicity(s: np.ndarray, value: complex):
+def _multiplicity(s: np.ndarray, value: complex, first, second):
     """The number of eigenvalues of S within KERNEL_RANK_TOL * n of value,
-    for S or each S of a stack (a list): the count of small eigenvalues of
-    the first pencil of S conj(v), v = value / |value|, where the
-    certificate holds, and the smaller of the two pencils' counts where it
-    fails.
+    for S or each S of a stack (a list): the first pencil's count of
+    small eigenvalues of S conj(v), v = value / |value|, where the
+    certificate holds, else the smaller of the two pencils' counts.
+    first(m) gives the eigenvalues of the first pencil of the whole stack,
+    built into m, and second(m) those of the second of one uncertified S.
 
     A certified count is exact: the first pencil's one other zero, at its
     spurious point, holds no eigenvalue.  The smaller count overstates only
     if S has eigenvalues within about the threshold of both spurious
-    points.  An overcount makes the Berezin side disagree with the Jacobian
-    or with the clustering, so it exits as a failed check, never as a
-    silent pass.  Every eigenvalue lies on the unit circle, so a value
-    whose modulus is farther than the threshold from 1 has multiplicity 0."""
+    points, and an overcount makes the Berezin side disagree with the
+    Jacobian or with the clustering: a failed check, never a silent pass.
+    Every eigenvalue lies on the unit circle, so a value off the circle by
+    the threshold or more has multiplicity 0."""
     n = math.isqrt(s.shape[-1])
     if abs(abs(value) - 1.0) >= KERNEL_RANK_TOL * n:
         return np.zeros(s.shape[:-2], dtype=int).tolist()
     c = complex(value).conjugate() / abs(value)
     buf = np.empty(s.shape)
-
-    def count(phi, i=...):
-        mu = _solve(np.linalg.eigvalsh, _pencil(s[i], c, phi, buf[i]))
-        return np.asarray(kernel_dim(np.abs(mu), n))
-
-    counts = count(PENCIL_ANGLES[0])
+    counts = np.asarray(kernel_dim(np.abs(_solve(first, _pencil(s, c, PENCIL_ANGLES[0], buf))), n))
     # the second pencil runs on each uncertified S alone, in its own slice
     # of the buffer
     for i in map(tuple, np.argwhere(~_certified(s, c, buf))):
-        counts[i] = min(counts[i], count(PENCIL_ANGLES[1], i))
+        mu = _solve(second, _pencil(s[i], c, PENCIL_ANGLES[1], buf[i]))
+        counts[i] = min(counts[i], kernel_dim(np.abs(mu), n))
     return counts.tolist()
 
 
-def spectrum(op: BerezinTransform) -> SpectralSummary:
-    """All n^2 eigenvalues of the transform, clustered, with two
-    independent estimates of the multiplicity of 1.
+def _eigenvalues(s: np.ndarray) -> tuple[np.ndarray, int]:
+    """All eigenvalues of the symmetric unitary S, in the order of the
+    eigenvalues mu of M = Y + t (I - X), t = tan(PENCIL_ANGLES[0]), and the
+    multiplicity of 1 that _multiplicity takes from the same eigh of M.
 
-    The authoritative count is the pencils' count of eigenvalues of B~
-    near 1; angular clustering is kept as a consistency check (it can merge
-    unrelated eigenvalues that drift near 1).
-    """
-    std = standardized_matrix(op)
-    eigenvalues = _eigenvalues(std)
+    A column q of eigh(M) is a joint eigenvector of X and Y unless its mu
+    is shared; it gives b = q^T Y q and a = 1 - (mu - b) / t.  The columns
+    of a run of mu closer than RUN_GAP that are not eigenvectors of S span
+    an invariant subspace, and Q_run^T S Q_run carries its eigenvalues; a
+    true degenerate eigenspace never takes that branch."""
+    pencil = []  # eigh(M): mu and Q
+
+    def first(m):
+        pencil.extend(np.linalg.eigh(m))
+        return pencil[0]
+
+    # the pencil's buffer is freed on return, before Y Q is formed
+    count = _multiplicity(s, 1.0, first, np.linalg.eigvalsh)
+    mu, q = pencil
+    yq = np.ascontiguousarray(s.imag) @ q
+    b = np.einsum("ij,ij->j", q, yq)
+    t = math.tan(PENCIL_ANGLES[0])
+    values = (1.0 - (mu - b) / t) + 1j * b
+    # (X - a) q = ((Y - b) q - (M - mu) q) / t, and eigh leaves (M - mu) q
+    # at rounding level, so ||(S - lambda) q|| = hypot(1, 1 / t) ||(Y - b) q||,
+    # which is ||(Y - b) q|| / sin(phi)
+    yq -= q * b
+    residual = np.linalg.norm(yq, axis=0) / math.sin(PENCIL_ANGLES[0])
+    run = np.concatenate([[0], np.cumsum(np.diff(mu) > RUN_GAP)])
+    for r in np.unique(run[residual > RESIDUAL_TOL]):
+        lo, hi = np.searchsorted(run, [r, r + 1])
+        if hi - lo > 1:
+            # X = I + (Y - M) / t turns Q_run^T S Q_run into
+            # diag(values) + (1 / t + i) Q_run^T (Y - b) Q_run, formed from
+            # the columns already at hand with no product of S
+            small = (q[:, lo:hi].T @ yq[:, lo:hi]).astype(complex)
+            small *= 1.0 / t + 1j  # in place: no complex copy of the product
+            small[np.diag_indices(hi - lo)] += values[lo:hi]
+            values[lo:hi] = _solve(np.linalg.eigvals, small)
+    return values, count
+
+
+def spectrum(op: BerezinTransform) -> SpectralSummary:
+    """All n^2 eigenvalues of the transform, clustered, and the multiplicity
+    of 1 counted from the same solve of the first pencil.  The count is
+    authoritative; the cluster at 1 of the eigenvalues that reach the
+    output checks it (it can merge values that drift near 1)."""
+    eigenvalues, kernel_method_dim = _eigenvalues(standardized_matrix(op))
 
     clusters, cluster_ids = cluster_eigenvalues(eigenvalues, CLUSTER_TOL)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
@@ -277,7 +280,7 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
         clusters=clusters,
         cluster_ids=cluster_ids,
         multiplicity_of_one=mult_one,
-        kernel_method_dim=_multiplicity(std, 1.0),
+        kernel_method_dim=kernel_method_dim,
     )
 
 
@@ -293,26 +296,23 @@ def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
     for each matrix of a stack along leading axes (a list), with one
     batched eigvalsh and one batched Cholesky factorization.  The entries
     of m must be nonzero."""
-    return _multiplicity(_standardized(m), value)
+    return _multiplicity(_standardized(m), value, np.linalg.eigvalsh, np.linalg.eigvalsh)
 
 
 def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
     """Real-valued basis of ker(B - Id), orthonormal in the weighted
     product: the eigenvectors of eigenvalue below KERNEL_RANK_TOL * n of
-    the first pencil, or, where the certificate fails, of the pencil with
-    fewer of them, the count _multiplicity takes.  The eigenspace is closed
-    under complex conjugation, so the same functions times i form a basis
-    of purely imaginary eigenfunctions."""
+    the pencil whose count _multiplicity takes, the first one on a tie.  The
+    eigenspace is closed under complex conjugation, so the same functions
+    times i form a basis of purely imaginary eigenfunctions."""
     n = op.n
-    s = standardized_matrix(op)
-    buf = np.empty(s.shape)
+    bases = []
 
-    def kernel(phi):
-        mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, phi, buf))
-        return q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
+    def kernel(m):
+        mu, q = np.linalg.eigh(m)
+        bases.append(q[:, np.abs(mu) < KERNEL_RANK_TOL * n])
+        return mu
 
-    basis = kernel(PENCIL_ANGLES[0])
-    if not _certified(s, 1.0, buf):
-        basis = min(basis, kernel(PENCIL_ANGLES[1]), key=lambda q: q.shape[1])
-    w = np.abs(op.u.matrix)
-    return [(v.reshape(n, n) / w).astype(complex) for v in basis.T]
+    dim = _multiplicity(standardized_matrix(op), 1.0, kernel, kernel)
+    basis = next(b for b in bases if b.shape[1] == dim)
+    return list((basis.T.reshape(-1, n, n) / np.abs(op.u.matrix)).astype(complex))

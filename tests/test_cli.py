@@ -300,7 +300,7 @@ class TestSizeCap:
 
     @pytest.fixture(autouse=True)
     def cap_at_n4(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_STACK_BYTES", 72 * 4**4)
+        monkeypatch.setattr(cli, "MAX_STACK_BYTES", 64 * 4**4)
 
     @pytest.mark.parametrize("argv, charge", [
         pytest.param(argv, charge, id=" ".join(argv)) for argv, charge in [
@@ -308,14 +308,14 @@ class TestSizeCap:
             (["spectrum", "--family", "fourier"], 44 * 5**4),
             (["theorem-check", "--family", "example2"], 33 * 5**4),
             (["sweep", "--samples", "2"], 33 * 5**4),
-            (["verify-all"], 72 * 5**4),
+            (["verify-all"], 64 * 5**4),
         ]])
     def test_past_cap_refused(self, argv, charge, capsys):
         assert main([*argv, "--n", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: n = 5 needs stacks of {charge} bytes, "
-                                f"more than the cap of 18432\n")
+                                f"more than the cap of 16384\n")
         assert main([*argv, "--n", "4"]) == 0
 
     def test_matrix_file_past_cap_refused(self, tmp_path, capsys):

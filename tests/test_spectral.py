@@ -16,7 +16,6 @@ from berezin_lab import (
 )
 from berezin_lab import spectral, symmetry
 from berezin_lab.spectral import (
-    MIX,
     PENCIL_ANGLES,
     cluster_eigenvalues,
     eigenvalue_multiplicity,
@@ -268,10 +267,19 @@ STRUCTURED = {
     "F12": lambda: fourier_matrix(12),
     "symmetric8": lambda: symmetric_family_matrix(8, np.exp(0.7j)),
     "symmetric16": lambda: symmetric_family_matrix(16, np.exp(2.1j)),
+    # eigenvalue 1 and the first pencil's spurious point share its zero:
+    # the run solve and the second pencil in one spectrum
+    "symmetric8 theta=e^-i": lambda: symmetric_family_matrix(8, np.exp(-1j)),
     "F2^3": lambda: f2_cubed_perturbed(0.0),
     **{f"F2^3 eps={eps:g}": (lambda eps=eps: f2_cubed_perturbed(eps))
        for eps in (1e-3, 1e-7, 3e-8, 1e-11)},
 }
+
+
+def pencil_count(s, value):
+    """The multiplicity of value in S, counted from eigvalsh alone, as the
+    theorem check and sweeps count it."""
+    return spectral._multiplicity(s, value, np.linalg.eigvalsh, np.linalg.eigvalsh)
 
 
 def max_pairing_distance(a, b):
@@ -384,9 +392,9 @@ class TestPencilCount:
                               np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         s = (q * lam) @ q.T
-        assert spectral._multiplicity(s, 1.0) == 5
-        assert spectral._multiplicity(s, spurious) == 3
-        assert spectral._multiplicity(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
+        assert pencil_count(s, 1.0) == 5
+        assert pencil_count(s, spurious) == 3
+        assert pencil_count(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
 
     def test_value_off_the_unit_circle(self):
         b = build_berezin(fourier_matrix(4))
@@ -412,17 +420,25 @@ class TestCertificate:
     factorization certifies that its spurious point holds no eigenvalue;
     the second pencil runs only where it does not."""
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, name):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        solve = getattr(np.linalg, name)
 
         def counted(a, *args, **kwargs):
             calls.append(a.shape)
-            return eigvalsh(a, *args, **kwargs)
+            return solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
         return calls
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        return self._count(monkeypatch, "eigvalsh")
+
+    @pytest.fixture
+    def eigh_solves(self, monkeypatch):
+        return self._count(monkeypatch, "eigh")
 
     def test_one_solve_for_haar(self, solves):
         assert eigenvalue_multiplicity(build_berezin(haar_random_unitary(16, seed=18))) == 31
@@ -439,6 +455,30 @@ class TestCertificate:
         # the first pencil's spurious point -e^{i}
         assert eigenvalue_multiplicity(build_berezin(symmetric_family_matrix(n, np.exp(-1j)))) == 2 * n - 1
         assert len(solves) == 2
+
+    def test_spectrum_runs_one_eigh_for_haar(self, solves, eigh_solves):
+        # the spectrum's eigenvalues and its count come from one solve
+        s = spectrum(build_berezin(haar_random_unitary(16, seed=18)))
+        assert s.kernel_method_dim == s.multiplicity_of_one == 31
+        assert eigh_solves == [(256, 256)]
+        assert solves == []
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_spectrum_with_eigenvalues_at_the_spurious_point(self, n, solves, eigh_solves):
+        s = spectrum(build_berezin(symmetric_family_matrix(n, np.exp(-1j))))
+        assert s.kernel_method_dim == s.multiplicity_of_one == 2 * n - 1
+        assert eigh_solves == [(n * n, n * n)]
+        assert solves == [(n * n, n * n)]
+
+    @pytest.mark.parametrize("seed", [2138, 2502, 3717])
+    def test_uncertified_haar_n16(self, seed, solves, eigh_solves):
+        # Haar samples at the benchmark's n that fail the certificate
+        u = haar_random_unitary(16, seed=seed)
+        s = spectral._standardized(u.matrix)
+        assert not spectral._certified(s, 1.0, np.empty(s.shape))
+        summary = spectrum(build_berezin(u))
+        assert summary.kernel_method_dim == summary.multiplicity_of_one == 31
+        assert len(eigh_solves) == len(solves) == 1
 
     def test_batched_solve_refactors_only_uncertified(self, solves):
         # one uncertified sample in a stack of three runs one more solve,
@@ -461,7 +501,7 @@ class TestCertificate:
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
         s = (q * lam) @ q.T
         oracle = int(np.sum(np.linalg.svd(s - np.eye(64), compute_uv=False) < 1e-8 * 8))
-        assert spectral._multiplicity(s, 1.0) == oracle == 9
+        assert pencil_count(s, 1.0) == oracle == 9
         assert bool(spectral._certified(s, 1.0, np.empty(s.shape))) == certified
 
     @settings(max_examples=15, deadline=None)
@@ -481,24 +521,28 @@ class TestEigenvaluesAgainstEigvals:
     def test_structured(self, name):
         assert_matches_eigvals(STRUCTURED[name]())
 
-    def test_shared_mixed_value_takes_the_run_solve(self, monkeypatch):
-        """Two distinct eigenvalues with the same Re + MIX Im share one
-        eigenvalue of X + MIX Y; the columns eigh returns for it mix their
-        eigenvectors, and the run's small eigvals recovers both."""
+    def test_shared_pencil_value_takes_the_run_solve(self, monkeypatch):
+        """Two distinct eigenvalues a + ib with the same b + t (1 - a),
+        t = tan(PENCIL_ANGLES[0]), share one eigenvalue of the first pencil;
+        the columns eigh returns for it mix their eigenvectors, and the
+        run's small eigvals recovers both."""
         rng = np.random.default_rng(13)
-        # angles summing to 2 give the same a + MIX b = sec(1) cos(theta - 1)
-        angles = np.array([0.3, 0.3, 1.7, 2.9, -1.2, -2.5, 0.8, 2.2])
+        # angles summing to pi + 2 PENCIL_ANGLES[0] give the same
+        # 2 sin(theta/2) cos(theta/2 - phi) / cos(phi)
+        angles = np.array([0.3, 0.3, np.pi + 0.7, 2.9, -1.2, 1.7, 0.8, 2.2])
         lam = np.exp(1j * angles)
-        assert abs((lam[0].real + MIX * lam[0].imag) - (lam[2].real + MIX * lam[2].imag)) < 1e-15
+        t = np.tan(PENCIL_ANGLES[0])
+        assert abs((lam[0].imag + t * (1 - lam[0].real)) - (lam[2].imag + t * (1 - lam[2].real))) < 1e-15
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         s = (q * lam) @ q.T
         shapes = []
         real_eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(a.shape) or real_eigvals(a))
-        got = spectral._eigenvalues(s)
+        got, count = spectral._eigenvalues(s)
         assert shapes == [(3, 3)]
         assert max_pairing_distance(got, lam) <= 1e-12
+        assert count == 0
 
     def test_no_eigvals_on_the_full_matrix(self, monkeypatch):
         shapes = []
