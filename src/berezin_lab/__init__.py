@@ -16,9 +16,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .matrices import (
-    DoublyStochastic,
     Unitary,
-    equivalence_normal_form,
     haar_random_unitary,
     load_matrix,
     save_matrix,
@@ -43,7 +41,6 @@ from .symbols import (
     c_symbol_to_operator,
     d_symbol_to_operator,
     e_subspace_basis,
-    is_skew_c_symbol,
     operator_to_c_symbol,
     operator_to_d_symbol,
 )

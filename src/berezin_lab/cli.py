@@ -37,7 +37,12 @@ from .errors import (
 )
 from .matrices import Unitary, haar_random_unitary, load_matrix, validate_unitary
 from .spectral import spectrum, standardized_matrix
-from .submersion import check_sweep_args, jacobian_report, submersion_sweep
+from .submersion import (
+    SAMPLE_BYTES_PER_N4,
+    check_sweep_args,
+    jacobian_report,
+    submersion_sweep,
+)
 from .symbols import (
     WeightedSpace,
     berezin_from_composition,
@@ -67,17 +72,18 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 
 # Each command is charged its peak of numpy arrays in bytes per n^4, as
 # tracemalloc measures it at n = 12 to 20 (the multiple falls as n grows):
-# theorem-check and a sweep sample hold S, the Berezin side's real buffer
-# and a Cholesky factor (32 n^4); spectrum adds the eigenvectors of the
-# pencil it counts with and Y Q (40 n^4); verify-all peaks at the
-# berezin-consistency row, where S stands beside the composed Berezin
-# matrix and their difference (57 to 64 n^4), and frees the composed matrix
-# before the later rows.  LAPACK's own copy of the matrix it works on, up
-# to 8 n^4 more, is not counted.  A sweep chunk holds several samples only
-# while they fit 8 MiB, and past n = 18 it holds one.  An n whose charge
-# passes the cap (n > 64 for verify-all, n > 70 for spectrum, n > 75 for
-# the others) is refused before anything of that size is built.
-STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": 33, "sweep": 33, "verify-all": 64}
+# theorem-check and a sweep charge one ranked sample, SAMPLE_BYTES_PER_N4;
+# spectrum holds S, the buffer of the pencil it solves and its eigenvectors,
+# then a copy of Y and Y Q in place of the buffer (40 n^4);
+# verify-all peaks at the berezin-consistency row, where S stands beside the
+# composed Berezin matrix and their difference (57 to 64 n^4), and frees the
+# composed matrix before the later rows.  LAPACK's own copy of the matrix it
+# works on, up to 8 n^4 more, is not counted.  A sweep chunk holds several
+# samples only while they fit 8 MiB, and past n = 18 it holds one.  An n
+# whose charge passes the cap (n > 64 for verify-all, n > 70 for spectrum,
+# n > 75 for the others) is refused before anything of that size is built.
+STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
+                      "sweep": SAMPLE_BYTES_PER_N4, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
 
 

@@ -1,5 +1,5 @@
 """Dense complex matrices: unitary validation, Haar sampling, the
-squared-modulus map, and the first-row/first-column phase normal form."""
+squared-modulus map, and JSON matrix files."""
 
 from __future__ import annotations
 
@@ -29,18 +29,6 @@ class Unitary:
 
     matrix: np.ndarray
     nonzero_entries: bool
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class DoublyStochastic:
-    """A doubly stochastic matrix (real, nonnegative, all row and column
-    sums equal to 1): the squared moduli of a validated unitary."""
-
-    matrix: np.ndarray
 
     @property
     def n(self) -> int:
@@ -114,30 +102,12 @@ def _rephased_qr(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-def to_doubly_stochastic(u: Unitary) -> DoublyStochastic:
-    """The squared-modulus map u -> (|u_kl|^2).
+def to_doubly_stochastic(u: Unitary) -> np.ndarray:
+    """The squared-modulus map u -> (|u_kl|^2), a doubly stochastic matrix.
 
     Its row and column sums are the diagonals of u u* and u* u, so they
     equal 1 to within the tolerance u was validated at."""
-    return DoublyStochastic(matrix=np.abs(u.matrix) ** 2)
-
-
-def equivalence_normal_form(u: Unitary) -> Unitary:
-    """The representative of the class {kappa u lambda} whose first row and
-    first column are real positive.
-
-    Idempotent, and constant on equivalence classes, so it detects when two
-    unitaries have the same image under the squared-modulus map.
-    """
-    require_nonzero(u)
-    m = u.matrix
-    # right diagonal: make row 0 positive; then left diagonal: make column 0
-    # positive (its (0,0) entry is already positive, so row 0 is preserved)
-    lam = np.conj(m[0, :]) / np.abs(m[0, :])
-    m = m * lam[np.newaxis, :]
-    kap = np.conj(m[:, 0]) / np.abs(m[:, 0])
-    m = kap[:, np.newaxis] * m
-    return validate_unitary(m)
+    return np.abs(u.matrix) ** 2
 
 
 def save_matrix(path, m: np.ndarray) -> None:

@@ -10,10 +10,11 @@ which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
-pencil of X and Y: multiplicities are its small eigenvalues, once a
-Cholesky factorization certifies that its one spurious zero holds no
-eigenvalue (only where it does not does a second pencil run), and the
-spectrum comes from the eigenvectors of the same solve.
+pencil of X and Y.  A multiplicity is the count of its small eigenvalues,
+once a Cholesky factorization certifies that its one spurious zero holds
+no eigenvalue; only where it does not does a second pencil run.  The
+spectrum comes from the eigenvectors of one solve of the same pencil, and
+the spectrum's multiplicity of 1 is counted from its own eigenvalues.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ CERTIFICATE_MARGIN = 1e-10
 
 def kernel_dim(singular_values: np.ndarray, n: int):
     """The rank rule both pipelines share: singular values (or moduli of
-    pencil eigenvalues) below KERNEL_RANK_TOL * n count toward the kernel.
-    An int, or a list of ints for a stack of rows."""
+    pencil eigenvalues, or distances |lambda - 1| of eigenvalues of S) below
+    KERNEL_RANK_TOL * n count toward the kernel.  An int, or a list of ints
+    for a stack of rows."""
     return np.sum(singular_values < KERNEL_RANK_TOL * n, axis=-1).tolist()
 
 
@@ -114,10 +116,13 @@ class SpectralSummary:
 def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
     """Greedy angular clustering: sort by argument, open a new cluster when
     the next point is farther than tol from the running mean, and finally
-    merge the wrap-around pair if needed.
+    merge the wrap-around pair if needed.  Arguments within tol of -pi sort
+    as near +pi, so a value at -1 sorts last whatever the sign of its
+    rounding-level imaginary part.
 
     Returns the (mean, size) of each cluster and each value's cluster index."""
-    order = np.argsort(np.angle(values))
+    angles = np.angle(values)
+    order = np.argsort(np.where(angles < tol - np.pi, angles + 2 * np.pi, angles))
     sums: list[complex] = []
     counts: list[int] = []
     sorted_ids = np.empty(len(values), dtype=int)
@@ -191,54 +196,47 @@ def _solve(solve, a: np.ndarray):
         raise EigensolverFailure(str(exc)) from exc
 
 
-def _multiplicity(s: np.ndarray, value: complex, first, second):
+def _multiplicity(s: np.ndarray, value: complex):
     """The number of eigenvalues of S within KERNEL_RANK_TOL * n of value,
-    for S or each S of a stack (a list): the first pencil's count of
-    small eigenvalues of S conj(v), v = value / |value|, where the
-    certificate holds, else the smaller of the two pencils' counts.
-    first(m) gives the eigenvalues of the first pencil of the whole stack,
-    built into m, and second(m) those of the second of one uncertified S.
+    for S or each S of a stack (a list), from eigvalsh alone: the first
+    pencil's count of small eigenvalues of S conj(v), v = value / |value|,
+    where the certificate holds, else the smaller of the two pencils'
+    counts.
 
     A certified count is exact: the first pencil's one other zero, at its
     spurious point, holds no eigenvalue.  The smaller count overstates only
     if S has eigenvalues within about the threshold of both spurious
     points, and an overcount makes the Berezin side disagree with the
-    Jacobian or with the clustering: a failed check, never a silent pass.
-    Every eigenvalue lies on the unit circle, so a value off the circle by
-    the threshold or more has multiplicity 0."""
+    Jacobian: a failed check, never a silent pass.  Every eigenvalue lies
+    on the unit circle, so a value off the circle by the threshold or more
+    has multiplicity 0."""
     n = math.isqrt(s.shape[-1])
     if abs(abs(value) - 1.0) >= KERNEL_RANK_TOL * n:
         return np.zeros(s.shape[:-2], dtype=int).tolist()
     c = complex(value).conjugate() / abs(value)
     buf = np.empty(s.shape)
-    counts = np.asarray(kernel_dim(np.abs(_solve(first, _pencil(s, c, PENCIL_ANGLES[0], buf))), n))
+    mu = _solve(np.linalg.eigvalsh, _pencil(s, c, PENCIL_ANGLES[0], buf))
+    counts = np.asarray(kernel_dim(np.abs(mu), n))
     # the second pencil runs on each uncertified S alone, in its own slice
     # of the buffer
     for i in map(tuple, np.argwhere(~_certified(s, c, buf))):
-        mu = _solve(second, _pencil(s[i], c, PENCIL_ANGLES[1], buf[i]))
+        mu = _solve(np.linalg.eigvalsh, _pencil(s[i], c, PENCIL_ANGLES[1], buf[i]))
         counts[i] = min(counts[i], kernel_dim(np.abs(mu), n))
     return counts.tolist()
 
 
-def _eigenvalues(s: np.ndarray) -> tuple[np.ndarray, int]:
+def _eigenvalues(s: np.ndarray) -> np.ndarray:
     """All eigenvalues of the symmetric unitary S, in the order of the
-    eigenvalues mu of M = Y + t (I - X), t = tan(PENCIL_ANGLES[0]), and the
-    multiplicity of 1 that _multiplicity takes from the same eigh of M.
+    eigenvalues mu of M = Y + t (I - X), t = tan(PENCIL_ANGLES[0]), from
+    one eigh of M.
 
     A column q of eigh(M) is a joint eigenvector of X and Y unless its mu
     is shared; it gives b = q^T Y q and a = 1 - (mu - b) / t.  The columns
     of a run of mu closer than RUN_GAP that are not eigenvectors of S span
     an invariant subspace, and Q_run^T S Q_run carries its eigenvalues; a
     true degenerate eigenspace never takes that branch."""
-    pencil = []  # eigh(M): mu and Q
-
-    def first(m):
-        pencil.extend(np.linalg.eigh(m))
-        return pencil[0]
-
-    # the pencil's buffer is freed on return, before Y Q is formed
-    count = _multiplicity(s, 1.0, first, np.linalg.eigvalsh)
-    mu, q = pencil
+    # the pencil's buffer is freed before Y Q is formed
+    mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, PENCIL_ANGLES[0], np.empty(s.shape)))
     yq = np.ascontiguousarray(s.imag) @ q
     b = np.einsum("ij,ij->j", q, yq)
     t = math.tan(PENCIL_ANGLES[0])
@@ -259,15 +257,17 @@ def _eigenvalues(s: np.ndarray) -> tuple[np.ndarray, int]:
             small *= 1.0 / t + 1j  # in place: no complex copy of the product
             small[np.diag_indices(hi - lo)] += values[lo:hi]
             values[lo:hi] = _solve(np.linalg.eigvals, small)
-    return values, count
+    return values
 
 
 def spectrum(op: BerezinTransform) -> SpectralSummary:
     """All n^2 eigenvalues of the transform, clustered, and the multiplicity
-    of 1 counted from the same solve of the first pencil.  The count is
-    authoritative; the cluster at 1 of the eigenvalues that reach the
-    output checks it (it can merge values that drift near 1)."""
-    eigenvalues, kernel_method_dim = _eigenvalues(standardized_matrix(op))
+    of 1 counted from them by the rank rule, the eigenvalues lambda with
+    |lambda - 1| below KERNEL_RANK_TOL * n; no certificate and no second
+    pencil run.  The count is authoritative; the cluster at 1 checks it
+    (it can merge values that drift near 1)."""
+    eigenvalues = _eigenvalues(standardized_matrix(op))
+    kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0), op.n)
 
     clusters, cluster_ids = cluster_eigenvalues(eigenvalues, CLUSTER_TOL)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
@@ -296,23 +296,23 @@ def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
     for each matrix of a stack along leading axes (a list), with one
     batched eigvalsh and one batched Cholesky factorization.  The entries
     of m must be nonzero."""
-    return _multiplicity(_standardized(m), value, np.linalg.eigvalsh, np.linalg.eigvalsh)
+    return _multiplicity(_standardized(m), value)
 
 
 def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
     """Real-valued basis of ker(B - Id), orthonormal in the weighted
     product: the eigenvectors of eigenvalue below KERNEL_RANK_TOL * n of
-    the pencil whose count _multiplicity takes, the first one on a tie.  The
-    eigenspace is closed under complex conjugation, so the same functions
-    times i form a basis of purely imaginary eigenfunctions."""
+    the first pencil, in the order of PENCIL_ANGLES, that has as many as
+    _multiplicity counts.  The eigenspace is closed under complex
+    conjugation, so the same functions times i form a basis of purely
+    imaginary eigenfunctions."""
     n = op.n
-    bases = []
+    s = standardized_matrix(op)
+    dim = _multiplicity(s, 1.0)
 
-    def kernel(m):
-        mu, q = np.linalg.eigh(m)
-        bases.append(q[:, np.abs(mu) < KERNEL_RANK_TOL * n])
-        return mu
+    def kernel(phi):
+        mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, phi, np.empty(s.shape)))
+        return q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
 
-    dim = _multiplicity(standardized_matrix(op), 1.0, kernel, kernel)
-    basis = next(b for b in bases if b.shape[1] == dim)
+    basis = next(b for b in map(kernel, PENCIL_ANGLES) if b.shape[1] == dim)
     return list((basis.T.reshape(-1, n, n) / np.abs(op.u.matrix)).astype(complex))

@@ -13,16 +13,20 @@ from .errors import NotSkewHermitianError, NotTangentError
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
-# Memory a sweep chunk may take, at 32 n^4 bytes of stacks per sample: the
-# Berezin side's peak, its complex S (16 n^4), the real buffer of the pencil
-# and certificate (8 n^4) and the Cholesky factor (8 n^4).  The Jacobian
-# side holds its real Jacobian (8 n^4), freed before the Berezin side runs.
+# The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
+# tracemalloc measures it at n = 12 to 20: the Berezin side's complex S
+# (16 n^4), the real buffer of the pencil and certificate (8 n^4), the
+# Cholesky factor (8 n^4) and smaller arrays.  The Jacobian side holds its
+# real Jacobian (8 n^4), freed before the Berezin side runs.  A sweep chunk
+# and the CLI's size cap of theorem-check and sweep both charge this.
+SAMPLE_BYTES_PER_N4 = 33
+# Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
 
 
 def _chunk_size(n: int) -> int:
     """Samples per sweep chunk: as many as fit _CHUNK_BYTES, at least one."""
-    return max(1, _CHUNK_BYTES // (32 * n**4))
+    return max(1, _CHUNK_BYTES // (SAMPLE_BYTES_PER_N4 * n**4))
 
 
 def skew_hermitian_basis(n: int) -> np.ndarray:

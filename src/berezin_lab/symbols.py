@@ -140,11 +140,3 @@ def e_subspace_basis(n: int) -> list[np.ndarray]:
         f[:, l] = 1.0
         basis.append(f)
     return basis
-
-
-def is_skew_c_symbol(u: Unitary, f: np.ndarray, tol: float) -> bool:
-    """True iff the operator with c-symbol f is skew-Hermitian, decided in
-    symbol space: ||f + B conj(f)||_u <= tol."""
-    space = WeightedSpace.from_unitary(u)
-    f = _check_same_shape(u, f)
-    return space.norm(f + build_berezin(u).apply(np.conj(f))) <= tol

@@ -193,7 +193,7 @@ class TestSweepCommand:
             on_disk.append(sum(not line.startswith("sample,") for line in lines))
             return draw(n, seeds)
 
-        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * 3**4)  # 3 samples
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * 3**4)  # 3 samples
         monkeypatch.setattr(submersion, "haar_unitary_stack", recorded)
         rc = main(["sweep", "--n", "3", "--samples", "8", "--seed", "4",
                    "--per-sample", str(csv_path)])
@@ -269,18 +269,16 @@ class TestVerifyAllCommand:
         assert rows["berezin-consistency"]["status"] == "FAIL"
 
     def test_runs_one_kernel_count(self, monkeypatch, capsys):
-        # the spectrum table's spectrum is the one kernel count; no check
+        # the spectrum table's one eigh is the one kernel count; no check
         # computes a multiplicity that verify-all does not report
-        shapes = []
-        multiplicity = spectral._multiplicity
-
-        def counted(s, *args, **kw):
-            shapes.append(s.shape)
-            return multiplicity(s, *args, **kw)
-
-        monkeypatch.setattr(spectral, "_multiplicity", counted)
+        eighs, counts = [], []
+        eigh, multiplicity = np.linalg.eigh, spectral._multiplicity
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        monkeypatch.setattr(spectral, "_multiplicity",
+                            lambda s, value: counts.append(s.shape) or multiplicity(s, value))
         assert main(["verify-all", "--n", "3"]) == 0
-        assert shapes == [(9, 9)]
+        assert eighs == [(9, 9)]
+        assert counts == []
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = main(["verify-all", "--n", "3", "--tol-override", "1e-30"])

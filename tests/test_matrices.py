@@ -5,7 +5,6 @@ from berezin_lab import (
     NotSquareError,
     NotUnitaryError,
     ZeroEntryError,
-    equivalence_normal_form,
     haar_random_unitary,
     load_matrix,
     save_matrix,
@@ -63,18 +62,18 @@ def test_haar_zero_entries_never_seen():
 def test_squared_moduli_of_permutation_is_itself():
     perm = np.eye(3)[[2, 0, 1]]
     p = to_doubly_stochastic(validate_unitary(perm))
-    np.testing.assert_array_equal(p.matrix, perm)
+    np.testing.assert_array_equal(p, perm)
 
 
 def test_squared_moduli_of_hadamard_is_flat():
     u = validate_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    np.testing.assert_allclose(to_doubly_stochastic(u).matrix, np.full((2, 2), 0.5))
+    np.testing.assert_allclose(to_doubly_stochastic(u), np.full((2, 2), 0.5))
 
 
 def test_squared_moduli_symmetric_family_values():
     # u = Id + (i - 1)/3: diagonal |1 + (i-1)/3|^2 = 5/9, off-diagonal 2/9
     m = np.eye(3, dtype=complex) + (1j - 1.0) / 3.0
-    p = to_doubly_stochastic(validate_unitary(m)).matrix
+    p = to_doubly_stochastic(validate_unitary(m))
     np.testing.assert_allclose(np.diag(p), 5.0 / 9.0, atol=1e-14)
     off = p[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, 2.0 / 9.0, atol=1e-14)
@@ -82,7 +81,7 @@ def test_squared_moduli_symmetric_family_values():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_row_column_sums(n):
-    p = to_doubly_stochastic(haar_random_unitary(n, seed=n)).matrix
+    p = to_doubly_stochastic(haar_random_unitary(n, seed=n))
     np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -92,32 +91,26 @@ def test_every_validated_unitary_is_mapped():
     # |u|^2 by about as much, well past 1e-12
     m = haar_random_unitary(6, 3).matrix + 2e-11 * np.random.default_rng(0).standard_normal((6, 6))
     u = validate_unitary(m)
-    p = to_doubly_stochastic(u).matrix
+    p = to_doubly_stochastic(u)
     np.testing.assert_array_equal(p, np.abs(m) ** 2)
     assert np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12
 
 
 class TestNormalForm:
-    def test_phased_hadamard_strips_to_positive_first_row_col(self):
-        had = validate_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        phases = np.diag(np.exp(1j * np.array([0.3, -1.1])))
-        u = validate_unitary(phases @ had.matrix)
-        nf = equivalence_normal_form(u).matrix
-        assert np.all(nf[0, :].real > 0) and np.max(np.abs(nf[0, :].imag)) < 1e-14
-        assert np.all(nf[:, 0].real > 0) and np.max(np.abs(nf[:, 0].imag)) < 1e-14
-
-    def test_idempotent(self):
-        u = haar_random_unitary(4, seed=7)
-        once = equivalence_normal_form(u)
-        twice = equivalence_normal_form(once)
-        np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-14)
+    # the phase class of u is {kappa u lambda : kappa, lambda diagonal
+    # unitaries}; |u|^2 is constant on it, so it stands in for a normal form
 
     def test_preserves_squared_moduli(self):
+        # dephase u so that its first row and column are real and positive
         u = haar_random_unitary(4, seed=11)
-        nf = equivalence_normal_form(u)
-        np.testing.assert_allclose(
-            to_doubly_stochastic(nf).matrix, to_doubly_stochastic(u).matrix, atol=1e-15
-        )
+        col = u.matrix[:, 0]
+        kap = np.diag(np.conj(col) / np.abs(col))
+        row = (kap @ u.matrix)[0, :]
+        lam = np.diag(np.conj(row) / np.abs(row))
+        v = validate_unitary(kap @ u.matrix @ lam)
+        assert np.all(v.matrix[0, :].real > 0) and np.max(np.abs(v.matrix[0, :].imag)) < 1e-14
+        assert np.all(v.matrix[:, 0].real > 0) and np.max(np.abs(v.matrix[:, 0].imag)) < 1e-14
+        np.testing.assert_allclose(to_doubly_stochastic(v), to_doubly_stochastic(u), atol=1e-15)
 
     def test_class_invariant_over_random_phases(self):
         for trial in range(100):
@@ -127,14 +120,8 @@ class TestNormalForm:
             lam = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 3)))
             v = validate_unitary(kap @ u.matrix @ lam)
             np.testing.assert_allclose(
-                equivalence_normal_form(v).matrix,
-                equivalence_normal_form(u).matrix,
-                atol=1e-12,
+                to_doubly_stochastic(v), to_doubly_stochastic(u), atol=1e-15
             )
-
-    def test_zero_entry_rejected(self):
-        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
-            equivalence_normal_form(validate_unitary(np.eye(3)))
 
 
 def test_matrix_json_round_trip(tmp_path):

@@ -276,12 +276,6 @@ STRUCTURED = {
 }
 
 
-def pencil_count(s, value):
-    """The multiplicity of value in S, counted from eigvalsh alone, as the
-    theorem check and sweeps count it."""
-    return spectral._multiplicity(s, value, np.linalg.eigvalsh, np.linalg.eigvalsh)
-
-
 def max_pairing_distance(a, b):
     """Largest distance in a one-to-one pairing of a with b, each value of a
     taking the nearest value of b not yet taken.  The optimal (bottleneck)
@@ -392,9 +386,9 @@ class TestPencilCount:
                               np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         s = (q * lam) @ q.T
-        assert pencil_count(s, 1.0) == 5
-        assert pencil_count(s, spurious) == 3
-        assert pencil_count(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
+        assert spectral._multiplicity(s, 1.0) == 5
+        assert spectral._multiplicity(s, spurious) == 3
+        assert spectral._multiplicity(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
 
     def test_value_off_the_unit_circle(self):
         b = build_berezin(fourier_matrix(4))
@@ -440,6 +434,10 @@ class TestCertificate:
     def eigh_solves(self, monkeypatch):
         return self._count(monkeypatch, "eigh")
 
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        return self._count(monkeypatch, "cholesky")
+
     def test_one_solve_for_haar(self, solves):
         assert eigenvalue_multiplicity(build_berezin(haar_random_unitary(16, seed=18))) == 31
         assert solves == [(256, 256)]
@@ -456,29 +454,35 @@ class TestCertificate:
         assert eigenvalue_multiplicity(build_berezin(symmetric_family_matrix(n, np.exp(-1j)))) == 2 * n - 1
         assert len(solves) == 2
 
-    def test_spectrum_runs_one_eigh_for_haar(self, solves, eigh_solves):
-        # the spectrum's eigenvalues and its count come from one solve
+    def test_spectrum_runs_one_eigh_for_haar(self, solves, eigh_solves, factorizations):
+        # the spectrum's eigenvalues and its count come from one solve, and
+        # no certificate checks the count
         s = spectrum(build_berezin(haar_random_unitary(16, seed=18)))
         assert s.kernel_method_dim == s.multiplicity_of_one == 31
         assert eigh_solves == [(256, 256)]
-        assert solves == []
+        assert solves == factorizations == []
 
     @pytest.mark.parametrize("n", [5, 8])
-    def test_spectrum_with_eigenvalues_at_the_spurious_point(self, n, solves, eigh_solves):
+    def test_spectrum_with_eigenvalues_at_the_spurious_point(self, n, solves, eigh_solves,
+                                                             factorizations):
+        # eigenvalues at the spurious point do not enter a count taken from
+        # the eigenvalues, so no second pencil runs
         s = spectrum(build_berezin(symmetric_family_matrix(n, np.exp(-1j))))
         assert s.kernel_method_dim == s.multiplicity_of_one == 2 * n - 1
         assert eigh_solves == [(n * n, n * n)]
-        assert solves == [(n * n, n * n)]
+        assert solves == factorizations == []
 
     @pytest.mark.parametrize("seed", [2138, 2502, 3717])
-    def test_uncertified_haar_n16(self, seed, solves, eigh_solves):
+    def test_uncertified_haar_n16(self, seed, solves, eigh_solves, factorizations):
         # Haar samples at the benchmark's n that fail the certificate
         u = haar_random_unitary(16, seed=seed)
         s = spectral._standardized(u.matrix)
         assert not spectral._certified(s, 1.0, np.empty(s.shape))
+        factorizations.clear()
         summary = spectrum(build_berezin(u))
         assert summary.kernel_method_dim == summary.multiplicity_of_one == 31
-        assert len(eigh_solves) == len(solves) == 1
+        assert eigh_solves == [(256, 256)]
+        assert solves == factorizations == []
 
     def test_batched_solve_refactors_only_uncertified(self, solves):
         # one uncertified sample in a stack of three runs one more solve,
@@ -501,7 +505,7 @@ class TestCertificate:
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
         s = (q * lam) @ q.T
         oracle = int(np.sum(np.linalg.svd(s - np.eye(64), compute_uv=False) < 1e-8 * 8))
-        assert pencil_count(s, 1.0) == oracle == 9
+        assert spectral._multiplicity(s, 1.0) == oracle == 9
         assert bool(spectral._certified(s, 1.0, np.empty(s.shape))) == certified
 
     @settings(max_examples=15, deadline=None)
@@ -509,6 +513,27 @@ class TestCertificate:
     def test_haar_n16(self, seed):
         u = haar_random_unitary(16, seed=seed)
         assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+
+
+class TestSpectrumCountAgainstPencilCount:
+    """spectrum counts the multiplicity of 1 from its own eigenvalues, and
+    eigenvalue_multiplicity from eigvalsh of the pencils under the
+    certificate: two computations that must give one count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+    def test_haar(self, n, seed):
+        b = build_berezin(haar_random_unitary(n, seed=seed))
+        assert spectrum(b).kernel_method_dim == eigenvalue_multiplicity(b)
+
+    @pytest.mark.parametrize("u", [
+        *(haar_random_unitary(16, seed=seed) for seed in (18, 2138, 2502, 3717)),
+        *(symmetric_family_matrix(n, np.exp(-1j)) for n in (5, 8)),
+    ], ids=["haar16 seed=18", "haar16 seed=2138", "haar16 seed=2502", "haar16 seed=3717",
+            "symmetric5 theta=e^-i", "symmetric8 theta=e^-i"])
+    def test_certificate_cases(self, u):
+        b = build_berezin(u)
+        assert spectrum(b).kernel_method_dim == eigenvalue_multiplicity(b)
 
 
 class TestEigenvaluesAgainstEigvals:
@@ -539,10 +564,10 @@ class TestEigenvaluesAgainstEigvals:
         real_eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(a.shape) or real_eigvals(a))
-        got, count = spectral._eigenvalues(s)
+        got = spectral._eigenvalues(s)
         assert shapes == [(3, 3)]
         assert max_pairing_distance(got, lam) <= 1e-12
-        assert count == 0
+        assert spectral.kernel_dim(np.abs(got - 1.0), 2) == 0  # n = isqrt(8)
 
     def test_no_eigvals_on_the_full_matrix(self, monkeypatch):
         shapes = []
@@ -568,3 +593,11 @@ class TestClusterEigenvalues:
         assert len(clusters) == 2
         assert ids[0] == ids[2] != ids[1]
         assert clusters[ids[0]][1] == 2
+
+    @pytest.mark.parametrize("im", [0.0, 1e-32])
+    def test_order_at_minus_one_ignores_the_sign_of_its_imaginary_part(self, im):
+        # np.angle puts -1 + 0j at pi and -1 - 0j at -pi
+        above = cluster_eigenvalues(np.array([1, complex(-1, im)]), 1e-8)
+        below = cluster_eigenvalues(np.array([1, complex(-1, -im)]), 1e-8)
+        np.testing.assert_allclose([rep for rep, _ in above[0]], [rep for rep, _ in below[0]])
+        assert above[1].tolist() == below[1].tolist()

@@ -242,7 +242,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_chunked_samples_match_single_reports(self, n, monkeypatch):
-        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * n**4)  # 3 samples
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * n**4)  # 3 samples
         chunks = []
         submersion_sweep(n, samples=8, seed=21, on_chunk=chunks.append)
         assert [[i for i, _ in chunk] for chunk in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7]]
@@ -256,7 +256,7 @@ class TestSweep:
             report = submersion_sweep(4, samples=6, seed=3, on_chunk=rows.update)
             return report, {i: r and r.to_dict() for i, r in rows.items()}
 
-        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * 32 * 4**4)  # 3 samples
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * 4**4)  # 3 samples
         clean, clean_rows = sweep_rows()
         ginibre = matrices._ginibre
 
@@ -288,7 +288,7 @@ class TestSweep:
     def test_image_in_birkhoff_polytope(self):
         for i in range(20):
             u = haar_random_unitary(4, seed=[12, i])
-            p = to_doubly_stochastic(u).matrix
+            p = to_doubly_stochastic(u)
             assert np.min(p) >= 0.0
             np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
 

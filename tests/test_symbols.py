@@ -10,9 +10,7 @@ from berezin_lab import (
     c_symbol_to_operator,
     d_symbol_to_operator,
     e_subspace_basis,
-    equivalence_normal_form,
     haar_random_unitary,
-    is_skew_c_symbol,
     jacobian_report,
     operator_to_c_symbol,
     operator_to_d_symbol,
@@ -129,7 +127,6 @@ ZERO_ENTRY_GUARDED = {
     "build_berezin": build_berezin,
     "jacobian_report": jacobian_report,
     "symbol_pair_of_direction": lambda u: symbol_pair_of_direction(u, np.zeros((2, 2))),
-    "equivalence_normal_form": equivalence_normal_form,
     "operator_to_c_symbol": lambda u: operator_to_c_symbol(u, np.eye(2)),
     "operator_to_d_symbol": lambda u: operator_to_d_symbol(u, np.eye(2)),
     "WeightedSpace.from_unitary": WeightedSpace.from_unitary,
@@ -241,28 +238,6 @@ class TestESubspace:
         b = build_berezin(u)
         for f in e_subspace_basis(n):
             assert space.norm(b.apply(f) - f) < 1e-10
-
-
-class TestSkewSymbol:
-    def test_constant_imaginary_is_skew(self):
-        u = haar_random_unitary(3, seed=18)
-        assert is_skew_c_symbol(u, 1j * np.ones((3, 3)), tol=1e-10)
-
-    def test_constant_one_is_not(self):
-        u = haar_random_unitary(3, seed=19)
-        assert not is_skew_c_symbol(u, np.ones((3, 3)), tol=1e-10)
-
-    def test_symbols_of_skew_operators(self):
-        rng = np.random.default_rng(20)
-        for trial in range(10):
-            u = haar_random_unitary(3, seed=[20, trial])
-            a = random_symbol(rng, 3)
-            x = a - a.conj().T
-            f = operator_to_c_symbol(u, x)
-            assert is_skew_c_symbol(u, f, tol=1e-9)
-            # agrees with testing the operator directly
-            back = c_symbol_to_operator(u, f)
-            assert np.max(np.abs(back + back.conj().T)) < 1e-9
 
 
 def test_isometry_property():
