@@ -4,13 +4,11 @@ analysis of the unitary-to-doubly-stochastic squared-modulus map."""
 from .errors import (
     BerezinLabError,
     DimensionMismatchError,
-    EigensolverFailure,
     InvariantViolation,
     MatrixFileError,
     NotApplicableError,
     NotSkewHermitianError,
     NotSquareError,
-    NotTangentError,
     NotUnitaryError,
     ThetaDegenerateError,
     ZeroEntryError,
@@ -23,14 +21,13 @@ from .matrices import (
     to_doubly_stochastic,
     validate_unitary,
 )
-from .spectral import SpectralSummary, eigenspace_of_one, spectrum
+from .spectral import SpectralSummary, spectrum
 from .submersion import (
     JacobianReport,
     SweepReport,
     jacobian_report,
     skew_hermitian_basis,
     submersion_sweep,
-    symbol_pair_of_direction,
     tangent_direction,
 )
 from .symbols import (

@@ -10,7 +10,8 @@ Exit codes are a stable contract:
   1  usage error (a flag the command or its input does not take, an
      abbreviated flag, bad theta, a tolerance not positive and finite,
      samples < 1, an n past the size cap, ...)
-  2  invariant violation / failed check
+  2  invariant violation / failed check, or a linear-algebra solver that
+     did not converge
   3  input file missing or unparseable
   4  input matrix not unitary
   5  matrix has (near-)zero entries where nonzero ones are required
@@ -255,7 +256,8 @@ def cmd_sweep(args) -> int:
 
 def _verify_checks(n, theta, tol, seed):
     """Yield (name, deviation, limit) for each check of the full property
-    suite at size n; tol, if not None, replaces every check's limit."""
+    suite at size n; tol, if not None, replaces the limit of every check
+    but the yes/no spectrum-table row, whose limit stays 0.5."""
     rng = np.random.default_rng(seed)
 
     def limit(default):
@@ -356,7 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", default="0,1", help=THETA_HELP)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--tol-override", type=_positive_float, default=None,
-                   help="replace every check's tolerance (diagnostic)")
+                   help="replace the tolerance of every check but the yes/no "
+                        "spectrum-table row (diagnostic)")
     return parser
 
 
@@ -385,6 +388,9 @@ def main(argv=None) -> int:
         return EXIT_ZERO_ENTRY
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except np.linalg.LinAlgError as exc:  # a ValueError, but no usage error
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, BerezinLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

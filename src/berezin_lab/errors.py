@@ -31,19 +31,11 @@ class NotSkewHermitianError(BerezinLabError):
     pass
 
 
-class NotTangentError(BerezinLabError):
-    pass
-
-
 class ThetaDegenerateError(BerezinLabError):
     """theta = +-1 collapses the symmetric family's spectrum."""
 
 
 class NotApplicableError(BerezinLabError):
-    pass
-
-
-class EigensolverFailure(BerezinLabError):
     pass
 
 

@@ -1,5 +1,5 @@
-"""Spectral decomposition of the Berezin transform and multiplicity
-counting for its eigenvalues.
+"""Spectral decomposition of the Berezin transform and the count of the
+multiplicity of its eigenvalue 1.
 
 The transform is unitary only in the weighted product.  Conjugating by
 W = diag(|u_kl|) gives the standardized matrix
@@ -10,11 +10,11 @@ which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
-pencil of X and Y.  A multiplicity is the count of its small eigenvalues,
-once a Cholesky factorization certifies that its one spurious zero holds
-no eigenvalue; only where it does not does a second pencil run.  The
-spectrum comes from the eigenvectors of one solve of the same pencil, and
-the spectrum's multiplicity of 1 is counted from its own eigenvalues.
+pencil of X and Y.  The multiplicity of 1 is the count of its small
+eigenvalues, once a Cholesky factorization certifies that its one spurious
+zero holds no eigenvalue; only where it does not does a second pencil run.
+The spectrum comes from the eigenvectors of one solve of the same pencil,
+and the spectrum's multiplicity of 1 is counted from its own eigenvalues.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolverFailure
 from .symbols import BerezinTransform
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
@@ -40,8 +39,8 @@ RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 # their angles sum to pi + 1 mod 2 pi, which no two roots of unity do.
 PENCIL_ANGLES = (0.5, -0.7)
 # The certificate is a Cholesky factorization of
-# (1 - CERTIFICATE_MARGIN) I - Re(conj(z) conj(v) S), z the first pencil's
-# spurious point: it succeeds only when no eigenvalue of conj(v) S lies
+# (1 - CERTIFICATE_MARGIN) I - Re(conj(z) S), z the first pencil's
+# spurious point: it succeeds only when no eigenvalue of S lies
 # within sqrt(2 CERTIFICATE_MARGIN) = 1.4e-5 of z.  The margin is far above
 # the rounding of the factorization, n^2 eps ||A|| <= 2.6e-12 for n <= 76
 # (the CLI's size caps admit less), and 1.4e-5 is far above the rank
@@ -113,27 +112,27 @@ class SpectralSummary:
         }
 
 
-def cluster_eigenvalues(values: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+def cluster_eigenvalues(values: np.ndarray) -> tuple[list, np.ndarray]:
     """Greedy angular clustering: sort by argument, open a new cluster when
-    the next point is farther than tol from the running mean, and finally
-    merge the wrap-around pair if needed.  Arguments within tol of -pi sort
-    as near +pi, so a value at -1 sorts last whatever the sign of its
-    rounding-level imaginary part.
+    the next point is farther than CLUSTER_TOL from the running mean, and
+    finally merge the wrap-around pair if needed.  Arguments within
+    CLUSTER_TOL of -pi sort as near +pi, so a value at -1 sorts last
+    whatever the sign of its rounding-level imaginary part.
 
     Returns the (mean, size) of each cluster and each value's cluster index."""
     angles = np.angle(values)
-    order = np.argsort(np.where(angles < tol - np.pi, angles + 2 * np.pi, angles))
+    order = np.argsort(np.where(angles < CLUSTER_TOL - np.pi, angles + 2 * np.pi, angles))
     sums: list[complex] = []
     counts: list[int] = []
     sorted_ids = np.empty(len(values), dtype=int)
     for i, z in enumerate(values[order].tolist()):
-        if not sums or abs(z - sums[-1] / counts[-1]) > tol:
+        if not sums or abs(z - sums[-1] / counts[-1]) > CLUSTER_TOL:
             sums.append(0j)
             counts.append(0)
         sums[-1] += z
         counts[-1] += 1
         sorted_ids[i] = len(sums) - 1
-    if len(sums) > 1 and abs(sums[0] / counts[0] - sums[-1] / counts[-1]) <= tol:
+    if len(sums) > 1 and abs(sums[0] / counts[0] - sums[-1] / counts[-1]) <= CLUSTER_TOL:
         sums[0] += sums.pop()
         counts[0] += counts.pop()
         sorted_ids[sorted_ids == len(sums)] = 0
@@ -155,25 +154,25 @@ def _real_part(s: np.ndarray, w: complex, shift: float, out: np.ndarray) -> np.n
     return out
 
 
-def _pencil(s: np.ndarray, c: complex, phi: float, out: np.ndarray) -> np.ndarray:
-    """The pencil M_phi = Y' + tan(phi) (I - X') of c S = X' + i Y', which is
-    Re(-(tan(phi) + i) c S) + tan(phi) I, into out.  It is real symmetric
-    and has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the
-    eigenvector of each eigenvalue e^{it} of c S.  Near t = 0 that is
-    |e^{it} - 1| (1 + O(t)), the scale of the singular values of S - v; it
+def _pencil(s: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
+    """The pencil M_phi = Y + tan(phi) (I - X) of S = X + i Y, which is
+    Re(-(tan(phi) + i) S) + tan(phi) I, into out.  It is real symmetric and
+    has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the
+    eigenvector of each eigenvalue e^{it} of S.  Near t = 0 that is
+    |e^{it} - 1| (1 + O(t)), the scale of the singular values of S - I; it
     also vanishes at the spurious point t = pi + 2 phi."""
     t = math.tan(phi)
-    return _real_part(s, -(t + 1j) * c, t, out)
+    return _real_part(s, -(t + 1j), t, out)
 
 
-def _certified(s: np.ndarray, c: complex, out: np.ndarray) -> np.ndarray:
-    """Whether c S has no eigenvalue e^{it} within sqrt(2 CERTIFICATE_MARGIN)
+def _certified(s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Whether S has no eigenvalue e^{it} within sqrt(2 CERTIFICATE_MARGIN)
     of the first pencil's spurious point e^{i t0}, t0 = pi + 2 PENCIL_ANGLES[0],
     a bool array over the leading axes of S.  The matrix
-    A = (1 - CERTIFICATE_MARGIN) I - Re(e^{-i t0} c S), built into out, has
+    A = (1 - CERTIFICATE_MARGIN) I - Re(e^{-i t0} S), built into out, has
     the eigenvalues 1 - CERTIFICATE_MARGIN - cos(t - t0), and its Cholesky
     factorization succeeds when it is positive definite."""
-    a = _real_part(s, c * cmath.exp(-2j * PENCIL_ANGLES[0]), 1.0 - CERTIFICATE_MARGIN, out)
+    a = _real_part(s, cmath.exp(-2j * PENCIL_ANGLES[0]), 1.0 - CERTIFICATE_MARGIN, out)
     return _positive_definite(a)
 
 
@@ -189,38 +188,25 @@ def _positive_definite(a: np.ndarray) -> np.ndarray:
     return np.array([_positive_definite(b) for b in a])
 
 
-def _solve(solve, a: np.ndarray):
-    try:
-        return solve(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-
-
-def _multiplicity(s: np.ndarray, value: complex):
-    """The number of eigenvalues of S within KERNEL_RANK_TOL * n of value,
-    for S or each S of a stack (a list), from eigvalsh alone: the first
-    pencil's count of small eigenvalues of S conj(v), v = value / |value|,
-    where the certificate holds, else the smaller of the two pencils'
-    counts.
+def _multiplicity(s: np.ndarray):
+    """The number of eigenvalues of S within KERNEL_RANK_TOL * n of 1, for S
+    or each S of a stack (a list), from eigvalsh alone: the first pencil's
+    count of small eigenvalues where the certificate holds, else the
+    smaller of the two pencils' counts.
 
     A certified count is exact: the first pencil's one other zero, at its
     spurious point, holds no eigenvalue.  The smaller count overstates only
     if S has eigenvalues within about the threshold of both spurious
     points, and an overcount makes the Berezin side disagree with the
-    Jacobian: a failed check, never a silent pass.  Every eigenvalue lies
-    on the unit circle, so a value off the circle by the threshold or more
-    has multiplicity 0."""
+    Jacobian: a failed check, never a silent pass."""
     n = math.isqrt(s.shape[-1])
-    if abs(abs(value) - 1.0) >= KERNEL_RANK_TOL * n:
-        return np.zeros(s.shape[:-2], dtype=int).tolist()
-    c = complex(value).conjugate() / abs(value)
     buf = np.empty(s.shape)
-    mu = _solve(np.linalg.eigvalsh, _pencil(s, c, PENCIL_ANGLES[0], buf))
+    mu = np.linalg.eigvalsh(_pencil(s, PENCIL_ANGLES[0], buf))
     counts = np.asarray(kernel_dim(np.abs(mu), n))
     # the second pencil runs on each uncertified S alone, in its own slice
     # of the buffer
-    for i in map(tuple, np.argwhere(~_certified(s, c, buf))):
-        mu = _solve(np.linalg.eigvalsh, _pencil(s[i], c, PENCIL_ANGLES[1], buf[i]))
+    for i in map(tuple, np.argwhere(~_certified(s, buf))):
+        mu = np.linalg.eigvalsh(_pencil(s[i], PENCIL_ANGLES[1], buf[i]))
         counts[i] = min(counts[i], kernel_dim(np.abs(mu), n))
     return counts.tolist()
 
@@ -236,7 +222,7 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
     an invariant subspace, and Q_run^T S Q_run carries its eigenvalues; a
     true degenerate eigenspace never takes that branch."""
     # the pencil's buffer is freed before Y Q is formed
-    mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, PENCIL_ANGLES[0], np.empty(s.shape)))
+    mu, q = np.linalg.eigh(_pencil(s, PENCIL_ANGLES[0], np.empty(s.shape)))
     yq = np.ascontiguousarray(s.imag) @ q
     b = np.einsum("ij,ij->j", q, yq)
     t = math.tan(PENCIL_ANGLES[0])
@@ -256,7 +242,7 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
             small = (q[:, lo:hi].T @ yq[:, lo:hi]).astype(complex)
             small *= 1.0 / t + 1j  # in place: no complex copy of the product
             small[np.diag_indices(hi - lo)] += values[lo:hi]
-            values[lo:hi] = _solve(np.linalg.eigvals, small)
+            values[lo:hi] = np.linalg.eigvals(small)
     return values
 
 
@@ -269,7 +255,7 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
     eigenvalues = _eigenvalues(standardized_matrix(op))
     kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0), op.n)
 
-    clusters, cluster_ids = cluster_eigenvalues(eigenvalues, CLUSTER_TOL)
+    clusters, cluster_ids = cluster_eigenvalues(eigenvalues)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
     best = int(np.argmin(dist_to_one))
     mult_one = clusters[best][1] if dist_to_one[best] <= CLUSTER_TOL else 0
@@ -284,35 +270,16 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
     )
 
 
-def eigenvalue_multiplicity(op: BerezinTransform, value: complex = 1.0) -> int:
-    """The multiplicity of value as an eigenvalue of B~, counted from one
-    real symmetric pencil and a Cholesky certificate (two pencils where
-    the certificate fails) without computing the spectrum."""
-    return eigenvalue_multiplicities(op.u.matrix, value)
+def eigenvalue_multiplicity(op: BerezinTransform) -> int:
+    """The multiplicity of 1 as an eigenvalue of B~, counted from one real
+    symmetric pencil and a Cholesky certificate (two pencils where the
+    certificate fails) without computing the spectrum."""
+    return eigenvalue_multiplicities(op.u.matrix)
 
 
-def eigenvalue_multiplicities(m: np.ndarray, value: complex = 1.0):
+def eigenvalue_multiplicities(m: np.ndarray):
     """eigenvalue_multiplicity for the transform of the unitary matrix m, or
     for each matrix of a stack along leading axes (a list), with one
     batched eigvalsh and one batched Cholesky factorization.  The entries
     of m must be nonzero."""
-    return _multiplicity(_standardized(m), value)
-
-
-def eigenspace_of_one(op: BerezinTransform) -> list[np.ndarray]:
-    """Real-valued basis of ker(B - Id), orthonormal in the weighted
-    product: the eigenvectors of eigenvalue below KERNEL_RANK_TOL * n of
-    the first pencil, in the order of PENCIL_ANGLES, that has as many as
-    _multiplicity counts.  The eigenspace is closed under complex
-    conjugation, so the same functions times i form a basis of purely
-    imaginary eigenfunctions."""
-    n = op.n
-    s = standardized_matrix(op)
-    dim = _multiplicity(s, 1.0)
-
-    def kernel(phi):
-        mu, q = _solve(np.linalg.eigh, _pencil(s, 1.0, phi, np.empty(s.shape)))
-        return q[:, np.abs(mu) < KERNEL_RANK_TOL * n]
-
-    basis = next(b for b in map(kernel, PENCIL_ANGLES) if b.shape[1] == dim)
-    return list((basis.T.reshape(-1, n, n) / np.abs(op.u.matrix)).astype(complex))
+    return _multiplicity(_standardized(m))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSkewHermitianError, NotTangentError
+from .errors import NotSkewHermitianError
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
@@ -47,16 +47,15 @@ def skew_hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def tangent_direction(u: Unitary | np.ndarray, x: np.ndarray) -> np.ndarray:
+def tangent_direction(u: Unitary, x: np.ndarray) -> np.ndarray:
     """Push the tangent vector X (skew-Hermitian, acting as u' = X u)
     through the squared-modulus map: p'[k, l] = 2 Re((X u)[k, l] conj(u[k, l])).
 
     The result has vanishing row and column sums (it is tangent to the
-    affine space of doubly stochastic matrices).  u is a Unitary, or
-    unitary matrices stacked along leading axes; x is one matrix or a
-    stack of them along leading axes, broadcast against u.  The Jacobian
-    is built in closed form; this is its reference."""
-    m = u.matrix if isinstance(u, Unitary) else u
+    affine space of doubly stochastic matrices).  x is one matrix or a
+    stack of them along leading axes.  The Jacobian is built in closed
+    form; this is its reference."""
+    m = u.matrix
     return 2.0 * np.real((_skew_hermitian(x) @ m) * np.conj(m))
 
 
@@ -66,19 +65,6 @@ def _skew_hermitian(x: np.ndarray) -> np.ndarray:
     if np.max(np.abs(x + np.conj(np.swapaxes(x, -1, -2)))) > 1e-12:
         raise NotSkewHermitianError("X + X* must vanish")
     return x
-
-
-def symbol_pair_of_direction(u: Unitary, u_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (c-symbol, d-symbol) pair of the skew-Hermitian operator behind
-    a tangent direction u_dot: f[k, l] = u_dot[k, l] / u[k, l] and
-    g[k, l] = -conj(u_dot[k, l]) / conj(u[k, l]), so f = -conj(g)."""
-    require_nonzero(u)
-    u_dot = np.asarray(u_dot, dtype=complex)
-    x = u_dot @ u.matrix.conj().T
-    if np.max(np.abs(x + x.conj().T)) > 1e-10:
-        raise NotTangentError("u_dot u* is not skew-Hermitian")
-    f = u_dot / u.matrix
-    return f, -np.conj(f)
 
 
 @dataclass

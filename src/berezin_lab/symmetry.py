@@ -264,7 +264,7 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     for table in (predicted_clusters(n, theta), isotypic_clusters(b)):
         table_values, mults = zip(*table)
         values.append(np.repeat(table_values, mults))
-    clusters, ids = cluster_eigenvalues(np.concatenate(values), CLUSTER_TOL)
+    clusters, ids = cluster_eigenvalues(np.concatenate(values))
     computed, *derived = (np.bincount(g, minlength=len(clusters)) for g in ids.reshape(3, n * n))
     return bool(
         all(np.array_equal(computed, counts) for counts in derived)

@@ -275,10 +275,20 @@ class TestVerifyAllCommand:
         eigh, multiplicity = np.linalg.eigh, spectral._multiplicity
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         monkeypatch.setattr(spectral, "_multiplicity",
-                            lambda s, value: counts.append(s.shape) or multiplicity(s, value))
+                            lambda s: counts.append(s.shape) or multiplicity(s))
         assert main(["verify-all", "--n", "3"]) == 0
         assert eighs == [(9, 9)]
         assert counts == []
+
+    def test_tol_override_keeps_the_spectrum_table_limit(self, monkeypatch, capsys):
+        # the spectrum table is a yes/no row, and its limit stays 0.5
+        monkeypatch.setattr(cli, "verify_symmetric_family_spectrum", lambda n, theta: False)
+        rc = main(["verify-all", "--n", "4", "--tol-override", "2", "--format", "json"])
+        rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        assert rc == 2
+        table = rows.pop("spectrum-table")
+        assert (table["limit"], table["status"]) == (0.5, "FAIL")
+        assert all((r["limit"], r["status"]) == (2.0, "pass") for r in rows.values())
 
     def test_impossible_tolerance_fails(self, capsys):
         rc = main(["verify-all", "--n", "3", "--tol-override", "1e-30"])
@@ -441,6 +451,24 @@ def test_invariant_violation_exits_2(monkeypatch, capsys):
     assert main(["spectrum", "--family", "fourier", "--n", "3"]) == 2
     err = capsys.readouterr().err
     assert "isotypic block" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver, argv", [
+    ("svd", ["theorem-check", "--family", "haar", "--n", "4"]),
+    ("eigvalsh", ["theorem-check", "--family", "haar", "--n", "4"]),
+    ("eigh", ["spectrum", "--family", "haar", "--n", "4"]),
+])
+def test_solver_failure_exits_2(solver, argv, monkeypatch, capsys):
+    # a LinAlgError is a ValueError, but a solver that does not converge is
+    # no usage error
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fails)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {solver} did not converge\n"
 
 
 def test_csv_cluster_ids_match_clusters(capsys):

@@ -8,7 +8,6 @@ from berezin_lab import (
     berezin_from_composition,
     build_berezin,
     e_subspace_basis,
-    eigenspace_of_one,
     haar_random_unitary,
     jacobian_report,
     spectrum,
@@ -66,17 +65,15 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_clusters_match_svd_kernels_fourier(self, n):
-        b = build_berezin(fourier_matrix(n))
-        s = spectrum(b)
-        for rep, mult in s.clusters:
-            assert eigenvalue_multiplicity(b, rep) == mult
+        u = fourier_matrix(n)
+        for rep, mult in spectrum(build_berezin(u)).clusters:
+            assert svd_count(u, rep) == mult
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_clusters_match_svd_kernels_symmetric_family(self, n):
-        b = build_berezin(symmetric_family_matrix(n, np.exp(0.7j)))
-        s = spectrum(b)
-        for rep, mult in s.clusters:
-            assert eigenvalue_multiplicity(b, rep) == mult
+        u = symmetric_family_matrix(n, np.exp(0.7j))
+        for rep, mult in spectrum(build_berezin(u)).clusters:
+            assert svd_count(u, rep) == mult
 
     def test_invariant_under_diagonal_phases(self):
         rng = np.random.default_rng(3)
@@ -91,21 +88,31 @@ class TestSpectrum:
         assert np.max(np.abs(a - b)) < 1e-8
 
 
+def fixed_symbols(u):
+    """A reference basis of ker(B - I), real and orthonormal in the weighted
+    product, with no pencil: S = X + iY has ker(S - I) = ker(X - I) ∩ ker(Y)
+    over the reals, the null space of the real stack [X - I; Y], whose
+    singular values are |lambda - 1|; its basis is divided by |u|."""
+    s = standardized_matrix(build_berezin(u))
+    _, sv, vt = np.linalg.svd(np.vstack([s.real - np.eye(len(s)), s.imag]), full_matrices=False)
+    basis = vt[sv < 1e-8 * u.n].reshape(-1, u.n, u.n) / np.abs(u.matrix)
+    return list(basis.astype(complex))
+
+
 class TestEigenspaceOfOne:
     def test_contains_sum_symbols(self):
         u = haar_random_unitary(4, seed=4)
         b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
+        fixed = fixed_symbols(u)
         assert len(fixed) == 7
         for f in e_subspace_basis(4):
-            # reconstruct f from the returned orthonormal basis
+            # reconstruct f from the orthonormal basis
             proj = sum(space.inner(f, v) * v for v in fixed)
             assert space.norm(f - proj) < 1e-8
 
     def test_fourier_prime_span_equals_e(self):
         u = fourier_matrix(3)
-        b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
+        fixed = fixed_symbols(u)
         assert len(fixed) == 5
         e_cols = np.stack([f.ravel() for f in e_subspace_basis(3)], axis=1)
         v_cols = np.stack([v.ravel() for v in fixed], axis=1)
@@ -115,25 +122,28 @@ class TestEigenspaceOfOne:
     def test_orthonormal_in_weighted_product(self):
         u = haar_random_unitary(3, seed=5)
         b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
+        fixed = fixed_symbols(u)
         gram = np.array([[space.inner(f, g) for g in fixed] for f in fixed])
         np.testing.assert_allclose(gram, np.eye(len(fixed)), atol=1e-10)
 
     def test_conjugates_stay_in_eigenspace(self):
         u = haar_random_unitary(3, seed=6)
         b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
-        for v in fixed:
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            coef = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            v = sum(c * f for c, f in zip(coef, fixed_symbols(u)))
             assert space.norm(b.apply(np.conj(v)) - np.conj(v)) < 1e-8
 
     def test_real_imaginary_split(self):
+        # real fixed symbols, and the same symbols times i purely imaginary ones
         u = haar_random_unitary(3, seed=7)
         b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
+        fixed = fixed_symbols(u)
         assert len(fixed) == 5
         for f in fixed:
-            assert np.max(np.abs(f.imag)) < 1e-12
             assert space.norm(b.apply(f) - f) < 1e-8
+            assert space.norm(b.apply(1j * f) - 1j * f) < 1e-8
 
 
 class TestSymmetricFamilyTable:
@@ -249,15 +259,16 @@ def f2_cubed_perturbed(eps):
     return perturbed(np.kron(np.kron(f2, f2), f2), eps)
 
 
-def singular_values_of_s_minus_one(u):
+def singular_values_of_s_minus_one(u, value=1.0):
+    """The singular values of S - value I, the distances |lambda - value|."""
     s = standardized_matrix(build_berezin(u))
-    return np.linalg.svd(s - np.eye(len(s)), compute_uv=False)
+    return np.linalg.svd(s - value * np.eye(len(s)), compute_uv=False)
 
 
-def svd_count(u):
-    """The oracle for the multiplicity of 1: singular values of S - I
-    below 1e-8 n."""
-    return int(np.sum(singular_values_of_s_minus_one(u) < 1e-8 * u.n))
+def svd_count(u, value=1.0):
+    """The oracle for the multiplicity of value (of 1 unless given):
+    singular values of S - value I below 1e-8 n."""
+    return int(np.sum(singular_values_of_s_minus_one(u, value) < 1e-8 * u.n))
 
 
 STRUCTURED = {
@@ -320,7 +331,6 @@ class TestStandardizedMatrix:
         b = build_berezin(haar_random_unitary(4, seed=12))
         spectrum(b)
         eigenvalue_multiplicity(b)
-        eigenspace_of_one(b)
         assert vars(b).keys() == {"u", "n"}  # no dense matrix is kept on the transform
 
 
@@ -386,21 +396,13 @@ class TestPencilCount:
                               np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         s = (q * lam) @ q.T
-        assert spectral._multiplicity(s, 1.0) == 5
-        assert spectral._multiplicity(s, spurious) == 3
-        assert spectral._multiplicity(s[np.newaxis].repeat(2, axis=0), 1.0) == [5, 5]
-
-    def test_value_off_the_unit_circle(self):
-        b = build_berezin(fourier_matrix(4))
-        assert eigenvalue_multiplicity(b, 1.0) == 8
-        assert eigenvalue_multiplicity(b, 1.0 + 1e-9) == 8  # within 4e-8 of the circle
-        assert eigenvalue_multiplicity(b, 1.0 + 1e-6) == 0
-        assert eigenvalue_multiplicity(b, 0.0) == 0
+        assert spectral._multiplicity(s) == 5
+        assert spectral._multiplicity(s[np.newaxis].repeat(2, axis=0)) == [5, 5]
 
     def test_eigenspace_of_f2_cubed(self):
         u = validate_unitary(fourier_product(2, 2, 2))
         b, space = berezin_and_space(u)
-        fixed = eigenspace_of_one(b)
+        fixed = fixed_symbols(u)
         assert len(fixed) == 36
         for f in fixed:
             assert np.max(np.abs(f.imag)) == 0.0
@@ -477,7 +479,7 @@ class TestCertificate:
         # Haar samples at the benchmark's n that fail the certificate
         u = haar_random_unitary(16, seed=seed)
         s = spectral._standardized(u.matrix)
-        assert not spectral._certified(s, 1.0, np.empty(s.shape))
+        assert not spectral._certified(s, np.empty(s.shape))
         factorizations.clear()
         summary = spectrum(build_berezin(u))
         assert summary.kernel_method_dim == summary.multiplicity_of_one == 31
@@ -505,8 +507,8 @@ class TestCertificate:
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
         s = (q * lam) @ q.T
         oracle = int(np.sum(np.linalg.svd(s - np.eye(64), compute_uv=False) < 1e-8 * 8))
-        assert spectral._multiplicity(s, 1.0) == oracle == 9
-        assert bool(spectral._certified(s, 1.0, np.empty(s.shape))) == certified
+        assert spectral._multiplicity(s) == oracle == 9
+        assert bool(spectral._certified(s, np.empty(s.shape))) == certified
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -581,7 +583,7 @@ class TestEigenvaluesAgainstEigvals:
 class TestClusterEigenvalues:
     def test_labels_index_the_clusters(self):
         values = np.exp(1j * np.array([0.0, 2.0, 1e-12, 2.0 + 1e-12, -1.0, 0.0]))
-        clusters, ids = cluster_eigenvalues(values, 1e-8)
+        clusters, ids = cluster_eigenvalues(values)
         assert sorted(m for _, m in clusters) == [1, 2, 3]
         for z, i in zip(values, ids):
             assert abs(clusters[i][0] - z) <= 1e-8
@@ -589,7 +591,7 @@ class TestClusterEigenvalues:
 
     def test_wrap_around_merge_relabels(self):
         values = np.array([-1 + 1e-10j, 1.0, -1 - 1e-10j])
-        clusters, ids = cluster_eigenvalues(values, 1e-8)
+        clusters, ids = cluster_eigenvalues(values)
         assert len(clusters) == 2
         assert ids[0] == ids[2] != ids[1]
         assert clusters[ids[0]][1] == 2
@@ -597,7 +599,7 @@ class TestClusterEigenvalues:
     @pytest.mark.parametrize("im", [0.0, 1e-32])
     def test_order_at_minus_one_ignores_the_sign_of_its_imaginary_part(self, im):
         # np.angle puts -1 + 0j at pi and -1 - 0j at -pi
-        above = cluster_eigenvalues(np.array([1, complex(-1, im)]), 1e-8)
-        below = cluster_eigenvalues(np.array([1, complex(-1, -im)]), 1e-8)
+        above = cluster_eigenvalues(np.array([1, complex(-1, im)]))
+        below = cluster_eigenvalues(np.array([1, complex(-1, -im)]))
         np.testing.assert_allclose([rep for rep, _ in above[0]], [rep for rep, _ in below[0]])
         assert above[1].tolist() == below[1].tolist()

@@ -6,16 +6,15 @@ import pytest
 from berezin_lab import matrices, submersion
 from berezin_lab import (
     NotSkewHermitianError,
-    NotTangentError,
-    ZeroEntryError,
     c_symbol_to_operator,
     d_symbol_to_operator,
     fourier_matrix,
     haar_random_unitary,
     jacobian_report,
+    operator_to_c_symbol,
+    operator_to_d_symbol,
     skew_hermitian_basis,
     submersion_sweep,
-    symbol_pair_of_direction,
     symmetric_family_matrix,
     tangent_direction,
     to_doubly_stochastic,
@@ -83,39 +82,30 @@ class TestTangentDirection:
 
 
 class TestSymbolPair:
+    """The c-symbol f and the d-symbol g of the skew-Hermitian operator X
+    behind the tangent direction X u satisfy f = -conj(g)."""
+
     def test_global_phase_gives_constant_i(self):
         u = haar_random_unitary(3, seed=4)
-        f, g = symbol_pair_of_direction(u, 1j * u.matrix)
-        np.testing.assert_allclose(f, 1j, atol=1e-14)
-        np.testing.assert_allclose(g, 1j, atol=1e-14)
+        np.testing.assert_allclose(operator_to_c_symbol(u, 1j * np.eye(3)), 1j, atol=1e-14)
+        np.testing.assert_allclose(operator_to_d_symbol(u, 1j * np.eye(3)), 1j, atol=1e-14)
 
     def test_zero_direction(self):
         u = haar_random_unitary(3, seed=5)
-        f, g = symbol_pair_of_direction(u, np.zeros((3, 3)))
-        np.testing.assert_allclose(f, 0.0)
-        np.testing.assert_allclose(g, 0.0)
+        np.testing.assert_allclose(operator_to_c_symbol(u, np.zeros((3, 3))), 0.0)
+        np.testing.assert_allclose(operator_to_d_symbol(u, np.zeros((3, 3))), 0.0)
 
     def test_both_symbols_recover_the_operator(self):
         rng = np.random.default_rng(6)
         for trial in range(10):
             u = haar_random_unitary(3, seed=[6, trial])
             x = random_skew(rng, 3)
-            f, g = symbol_pair_of_direction(u, x @ u.matrix)
-            np.testing.assert_allclose(f, -np.conj(g), atol=1e-14)
+            f, g = operator_to_c_symbol(u, x), operator_to_d_symbol(u, x)
+            assert np.max(np.abs(f + np.conj(g))) < 1e-9
             cf = c_symbol_to_operator(u, f)
             dg = d_symbol_to_operator(u, g)
             assert np.max(np.abs(cf - dg)) < 1e-9
             assert np.max(np.abs(cf - x)) < 1e-9
-
-    def test_rejects_non_tangent(self):
-        u = haar_random_unitary(3, seed=7)
-        with pytest.raises(NotTangentError):
-            symbol_pair_of_direction(u, u.matrix)
-
-    def test_rejects_zero_entries(self):
-        u = validate_unitary(np.eye(3))
-        with pytest.raises(ZeroEntryError, match="all matrix entries nonzero"):
-            symbol_pair_of_direction(u, 1j * np.eye(3))
 
 
 class TestJacobian:

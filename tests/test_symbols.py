@@ -14,7 +14,6 @@ from berezin_lab import (
     jacobian_report,
     operator_to_c_symbol,
     operator_to_d_symbol,
-    symbol_pair_of_direction,
     validate_unitary,
 )
 from berezin_lab.spectral import standardized_matrix
@@ -126,7 +125,6 @@ class TestOperatorToSymbol:
 ZERO_ENTRY_GUARDED = {
     "build_berezin": build_berezin,
     "jacobian_report": jacobian_report,
-    "symbol_pair_of_direction": lambda u: symbol_pair_of_direction(u, np.zeros((2, 2))),
     "operator_to_c_symbol": lambda u: operator_to_c_symbol(u, np.eye(2)),
     "operator_to_d_symbol": lambda u: operator_to_d_symbol(u, np.eye(2)),
     "WeightedSpace.from_unitary": WeightedSpace.from_unitary,

@@ -14,7 +14,7 @@ from berezin_lab import (
     symmetric_family_matrix,
 )
 from berezin_lab import symmetry
-from berezin_lab.spectral import CLUSTER_TOL, cluster_eigenvalues, eigenvalue_multiplicity
+from berezin_lab.spectral import cluster_eigenvalues, eigenvalue_multiplicity
 from berezin_lab.errors import (
     BerezinLabError,
     InvariantViolation,
@@ -233,7 +233,7 @@ def _cluster_counts(*tables):
     """Per-table member counts of the groups one cluster_eigenvalues call
     forms over the (value, multiplicity) tables together."""
     values = [np.repeat(*zip(*table)) for table in tables]
-    clusters, ids = cluster_eigenvalues(np.concatenate(values), CLUSTER_TOL)
+    clusters, ids = cluster_eigenvalues(np.concatenate(values))
     bounds = np.cumsum([len(v) for v in values])[:-1]
     return [np.bincount(g, minlength=len(clusters)).tolist() for g in np.split(ids, bounds)]
 
