@@ -47,7 +47,6 @@ from .submersion import (
 from .symbols import (
     WeightedSpace,
     berezin_from_composition,
-    build_berezin,
     c_symbol_to_operator,
     d_symbol_to_operator,
 )
@@ -77,12 +76,13 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 # spectrum holds S, the buffer of the pencil it solves and its eigenvectors,
 # then a copy of Y and Y Q in place of the buffer (40 n^4);
 # verify-all peaks at the berezin-consistency row, where S stands beside the
-# composed Berezin matrix and their difference (57 to 64 n^4), and frees the
-# composed matrix before the later rows.  LAPACK's own copy of the matrix it
-# works on, up to 8 n^4 more, is not counted.  A sweep chunk holds several
-# samples only while they fit 8 MiB, and past n = 18 it holds one.  An n
-# whose charge passes the cap (n > 64 for verify-all, n > 70 for spectrum,
-# n > 75 for the others) is refused before anything of that size is built.
+# composed Berezin matrix and their difference (56 to 57 n^4; the charge of
+# 64 leaves room above it), and frees the composed matrix before the later
+# rows.  LAPACK's own copy of the matrix it works on, up to 8 n^4 more, is
+# not counted.  A sweep chunk holds several samples only while they fit
+# 8 MiB, and past n = 18 it holds one.  An n whose charge passes the cap
+# (n > 64 for verify-all, n > 70 for spectrum, n > 75 for the others) is
+# refused before anything of that size is built.
 STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
                       "sweep": SAMPLE_BYTES_PER_N4, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
@@ -181,7 +181,7 @@ def _load_input_matrix(args) -> Unitary:
 
 
 def cmd_spectrum(args) -> int:
-    summary = spectrum(build_berezin(_load_input_matrix(args)))
+    summary = spectrum(_load_input_matrix(args))
     try:
         summary.check()
     except ValueError as exc:
@@ -283,7 +283,7 @@ def _verify_checks(n, theta, tol, seed):
     # the composed matrix (16 n^4 bytes) has no name, so it is freed before
     # this generator runs the later rows
     consistency = np.max(np.abs(w[:, np.newaxis] * berezin_from_composition(u) / w[np.newaxis, :]
-                                - standardized_matrix(build_berezin(u))))
+                                - standardized_matrix(u.matrix)))
     yield "berezin-consistency", float(consistency), limit(1e-9)
 
     yield "weyl", check_weyl_relations(n), limit(1e-12)
@@ -298,7 +298,7 @@ def _verify_checks(n, theta, tol, seed):
 
 def cmd_verify_all(args) -> int:
     n = args.n
-    theta = check_theta(parse_theta(args.theta))
+    theta = check_theta(parse_theta(args.theta), n)
     rows = [(name, n, dev, lim, "pass" if dev <= lim else "FAIL")
             for name, dev, lim in _verify_checks(n, theta, args.tol_override, args.seed)]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import BerezinTransform
+from .matrices import Unitary, require_nonzero
 
 KERNEL_RANK_TOL = 1e-8  # scaled by n before use
 CLUSTER_TOL = 1e-8  # eigenvalues closer than this to a cluster's mean join it
@@ -57,15 +57,11 @@ def kernel_dim(singular_values: np.ndarray, n: int):
     return np.sum(singular_values < KERNEL_RANK_TOL * n, axis=-1).tolist()
 
 
-def standardized_matrix(op: BerezinTransform) -> np.ndarray:
-    """S = W B W^-1, unitary in the standard Hermitian product, built from
-    its symmetric formula: the package's one explicit Berezin kernel."""
-    return _standardized(op.u.matrix)
-
-
-def _standardized(m: np.ndarray) -> np.ndarray:
-    """The standardized matrix S of each unitary matrix in m, an n x n
-    matrix or a stack of them along leading axes, in one multiply:
+def standardized_matrix(m: np.ndarray) -> np.ndarray:
+    """S = W B W^-1 of each unitary matrix in m, an n x n matrix or a stack
+    of them along leading axes, whose entries must be nonzero: unitary in
+    the standard Hermitian product, built from its symmetric formula in one
+    multiply, the package's one explicit Berezin kernel.
     S[(k,l),(k',l')] = a[k,l,l'] a[k',l',l] with a[k,l,l'] = p[k,l] u[k,l']."""
     n = m.shape[-1]
     a = (np.abs(m) / m)[..., :, :, np.newaxis] * m[..., :, np.newaxis, :]
@@ -246,14 +242,15 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
     return values
 
 
-def spectrum(op: BerezinTransform) -> SpectralSummary:
-    """All n^2 eigenvalues of the transform, clustered, and the multiplicity
-    of 1 counted from them by the rank rule, the eigenvalues lambda with
-    |lambda - 1| below KERNEL_RANK_TOL * n; no certificate and no second
-    pencil run.  The count is authoritative; the cluster at 1 checks it
-    (it can merge values that drift near 1)."""
-    eigenvalues = _eigenvalues(standardized_matrix(op))
-    kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0), op.n)
+def spectrum(u: Unitary) -> SpectralSummary:
+    """All n^2 eigenvalues of the Berezin transform of u, clustered, and the
+    multiplicity of 1 counted from them by the rank rule, the eigenvalues
+    lambda with |lambda - 1| below KERNEL_RANK_TOL * n; no certificate and
+    no second pencil run.  The count is authoritative; the cluster at 1
+    checks it (it can merge values that drift near 1)."""
+    require_nonzero(u)
+    eigenvalues = _eigenvalues(standardized_matrix(u.matrix))
+    kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0), u.n)
 
     clusters, cluster_ids = cluster_eigenvalues(eigenvalues)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]
@@ -261,7 +258,7 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
     mult_one = clusters[best][1] if dist_to_one[best] <= CLUSTER_TOL else 0
 
     return SpectralSummary(
-        n=op.n,
+        n=u.n,
         eigenvalues=eigenvalues,
         clusters=clusters,
         cluster_ids=cluster_ids,
@@ -270,16 +267,10 @@ def spectrum(op: BerezinTransform) -> SpectralSummary:
     )
 
 
-def eigenvalue_multiplicity(op: BerezinTransform) -> int:
-    """The multiplicity of 1 as an eigenvalue of B~, counted from one real
-    symmetric pencil and a Cholesky certificate (two pencils where the
-    certificate fails) without computing the spectrum."""
-    return eigenvalue_multiplicities(op.u.matrix)
-
-
 def eigenvalue_multiplicities(m: np.ndarray):
-    """eigenvalue_multiplicity for the transform of the unitary matrix m, or
-    for each matrix of a stack along leading axes (a list), with one
-    batched eigvalsh and one batched Cholesky factorization.  The entries
-    of m must be nonzero."""
-    return _multiplicity(_standardized(m))
+    """The multiplicity of 1 as an eigenvalue of the Berezin transform of
+    the unitary matrix m, or of each of a stack along leading axes (a list),
+    without the spectrum: one batched eigvalsh of a real symmetric pencil and
+    one batched Cholesky certificate (a second pencil where it fails).  The
+    entries of m must be nonzero."""
+    return _multiplicity(standardized_matrix(m))

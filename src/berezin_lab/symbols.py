@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrices import Unitary, require_nonzero
+from .matrices import Unitary, require_nonzero, to_doubly_stochastic
 
 
 def _check_same_shape(u: Unitary, f: np.ndarray) -> np.ndarray:
+    """f as a complex array of one n x n symbol or a stack of them."""
     f = np.asarray(f, dtype=complex)
-    if f.shape != (u.n, u.n):
+    if f.shape[-2:] != (u.n, u.n):
         raise DimensionMismatchError(f"symbol shape {f.shape} vs matrix size {u.n}")
     return f
 
@@ -37,7 +38,7 @@ class WeightedSpace:
     @classmethod
     def from_unitary(cls, u: Unitary) -> "WeightedSpace":
         require_nonzero(u)
-        return cls(weights=np.abs(u.matrix) ** 2)
+        return cls(weights=to_doubly_stochastic(u))
 
     @property
     def n(self) -> int:
@@ -65,7 +66,7 @@ def c_symbol_to_operator(u: Unitary, f: np.ndarray) -> np.ndarray:
 def d_symbol_to_operator(u: Unitary, f: np.ndarray) -> np.ndarray:
     """y[k, k'] = sum_l u[k, l] f[k', l] conj(u[k', l])."""
     f = _check_same_shape(u, f)
-    return u.matrix @ (f * np.conj(u.matrix)).T
+    return u.matrix @ np.swapaxes(f * np.conj(u.matrix), -1, -2)
 
 
 def operator_to_c_symbol(u: Unitary, x: np.ndarray) -> np.ndarray:
@@ -75,15 +76,16 @@ def operator_to_c_symbol(u: Unitary, x: np.ndarray) -> np.ndarray:
     u[k, l] f[k, l], so no linear solve is needed.
     """
     require_nonzero(u)
-    x = _check_same_shape(u, x)
-    return (x @ u.matrix) / u.matrix
+    f = _check_same_shape(u, x) @ u.matrix
+    f /= u.matrix  # in place: no second array the size of x
+    return f
 
 
 def operator_to_d_symbol(u: Unitary, y: np.ndarray) -> np.ndarray:
     """Invert the d map: g[k', l] = (u* y)[l, k'] / conj(u[k', l])."""
     require_nonzero(u)
     y = _check_same_shape(u, y)
-    return (u.matrix.conj().T @ y).T / np.conj(u.matrix)
+    return np.swapaxes(u.matrix.conj().T @ y, -1, -2) / np.conj(u.matrix)
 
 
 class BerezinTransform:
@@ -97,14 +99,9 @@ class BerezinTransform:
         self.n = u.n
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """B f = (u (conj(u) * f)^T u) / u, in O(n^3) per symbol.
-
-        f is one n x n symbol or a stack of them along leading axes."""
-        f = np.asarray(f, dtype=complex)
-        if f.shape[-2:] != (self.n, self.n):
-            raise DimensionMismatchError(f"symbol shape {f.shape} vs size {self.n}")
-        m = self.u.matrix
-        return (m @ np.swapaxes(f * np.conj(m), -1, -2) @ m) / m
+        """B f = c^-1(d(f)), in O(n^3) per symbol; f is one n x n symbol or
+        a stack of them along leading axes."""
+        return operator_to_c_symbol(self.u, d_symbol_to_operator(self.u, f))
 
 
 def build_berezin(u: Unitary) -> BerezinTransform:

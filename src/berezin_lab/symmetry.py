@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
-from .spectral import CLUSTER_TOL, cluster_eigenvalues, spectrum
+from .spectral import CLUSTER_TOL, KERNEL_RANK_TOL, cluster_eigenvalues, spectrum
 from .symbols import (
     BerezinTransform,
     WeightedSpace,
@@ -21,8 +21,6 @@ from .symbols import (
     c_symbol_to_operator,
     d_symbol_to_operator,
 )
-
-THETA_DEGENERACY_TOL = 1e-8
 
 
 def unit_root(n: int, k) -> complex | np.ndarray:
@@ -36,11 +34,14 @@ def fourier_matrix(n: int) -> Unitary:
     return validate_unitary(unit_root(n, np.outer(k, k)) / np.sqrt(n), tol=1e-12)
 
 
-def check_theta(theta: complex) -> complex:
+def check_theta(theta: complex, n: int) -> complex:
+    """theta, checked to lie on the unit circle and at least twice the rank
+    threshold KERNEL_RANK_TOL * n from +-1: nearer, the size-n family's
+    eigenvalue conj(theta) or -conj(theta) would count as 1."""
     theta = complex(theta)
     if not abs(abs(theta) - 1.0) <= 1e-8:  # also rejects nan
         raise ValueError(f"|theta| must equal 1, got {abs(theta):.6f}")
-    if abs(theta - 1.0) < THETA_DEGENERACY_TOL or abs(theta + 1.0) < THETA_DEGENERACY_TOL:
+    if min(abs(theta - 1.0), abs(theta + 1.0)) < 2 * KERNEL_RANK_TOL * n:
         raise ThetaDegenerateError("theta must stay away from +-1")
     return theta
 
@@ -48,7 +49,7 @@ def check_theta(theta: complex) -> complex:
 def symmetric_family_matrix(n: int, theta: complex) -> Unitary:
     """u = Id + (theta - 1)/n: identity off the constants, phase theta on
     them.  Commutes with every permutation matrix and has no zero entries."""
-    theta = check_theta(theta)
+    theta = check_theta(theta, n)
     m = np.eye(n, dtype=complex) + (theta - 1.0) / n
     return validate_unitary(m)
 
@@ -233,7 +234,7 @@ def isotypic_clusters(b: BerezinTransform) -> list[tuple[complex, int]]:
 def predicted_clusters(n: int, theta: complex) -> list[tuple[complex, int]]:
     """The five eigenvalue clusters of the symmetric family's Berezin
     transform with their multiplicities (some may be empty for small n)."""
-    theta = check_theta(theta)
+    theta = check_theta(theta, n)
     tb = np.conj(theta)
     denom = theta + n - 1
     return [
@@ -258,10 +259,10 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     """
     if n < 3:
         raise NotApplicableError("spectrum table needs n >= 3")
-    b = build_berezin(symmetric_family_matrix(n, theta))
-    summary = spectrum(b)
+    u = symmetric_family_matrix(n, theta)
+    summary = spectrum(u)
     values = [summary.eigenvalues]
-    for table in (predicted_clusters(n, theta), isotypic_clusters(b)):
+    for table in (predicted_clusters(n, theta), isotypic_clusters(build_berezin(u))):
         table_values, mults = zip(*table)
         values.append(np.repeat(table_values, mults))
     clusters, ids = cluster_eigenvalues(np.concatenate(values))

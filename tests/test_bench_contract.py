@@ -61,3 +61,30 @@ def test_tracer_binds_commands_after_the_parser_is_built(tmp_path, capsys):
     assert op.check(rc, capsys.readouterr().out) == 1
     parents = [tracer.spans[p][0] for name, p, _, _ in tracer.spans if name == "spectral.spectrum"]
     assert parents == ["cli.cmd_spectrum"]
+
+
+def _traced_spans(name, tmp_path, capsys):
+    """The spans of one traced op of the named workload, checked by its oracle."""
+    op = workloads.make_workload(name, 1, str(tmp_path)).op(0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = berezin_lab.cli.main(op.argv)
+    finally:
+        tracer.uninstall()
+    assert op.check(rc, capsys.readouterr().out) >= 1, op.argv
+    return tracer.spans
+
+
+def test_theorem_check_builds_the_kernel_through_standardized_matrix(tmp_path, capsys):
+    # the Berezin count of a check-n16 op forms S in the one traced builder
+    spans = _traced_spans("check-n16", tmp_path, capsys)
+    assert [name for name, *_ in spans].count("spectral.standardized_matrix") == 1
+
+
+def test_apply_is_the_composition_of_the_symbol_maps(tmp_path, capsys):
+    # BerezinTransform.apply is c^-1 o d: its time lands in the traced maps
+    spans = _traced_spans("verify-n12", tmp_path, capsys)
+    inside = [spans[parent][0] for name, parent, _, _ in spans
+              if name == "symbols.operator_to_c_symbol" and parent >= 0]
+    assert inside and set(inside) == {"symbols.BerezinTransform.apply"}

@@ -257,8 +257,8 @@ class TestVerifyAllCommand:
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_consistency_row_guards_standardized_matrix(self, monkeypatch, capsys):
-        def perturbed(op):
-            s = standardized_matrix(op)
+        def perturbed(m):
+            s = standardized_matrix(m)
             s[0, 1] += 1e-6
             return s
 
@@ -364,6 +364,37 @@ def test_peak_within_size_charge(argv, capsys):
         tracemalloc.stop()
     assert rc == 0
     assert peak <= cli.STACK_BYTES_PER_N4[argv[0]] * 16**4
+
+
+# theta nearer +-1 than the rank threshold 1e-8 n puts an eigenvalue of the
+# symmetric family within it of 1: unguarded, these count a kernel of 136
+# (true 31) at n = 16 and 10 (true 7) at n = 4
+@pytest.mark.parametrize("argv", [
+    ["theorem-check", "--family", "example2", "--n", "16", "--theta", "angle:1e-7"],
+    ["spectrum", "--family", "example2", "--n", "16", "--theta", "angle:1e-7"],
+    ["verify-all", "--n", "16", "--theta", "angle:1e-7"],
+    ["theorem-check", "--family", "example2", "--n", "16",
+     "--theta", "angle:3.1415925535897933"],
+    ["spectrum", "--family", "example2", "--n", "16", "--theta", "angle:3.1415925535897933"],
+    ["verify-all", "--n", "16", "--theta", "angle:3.1415925535897933"],
+    ["theorem-check", "--family", "example2", "--n", "4", "--theta", "angle:3e-8"],
+    ["spectrum", "--family", "example2", "--n", "4", "--theta", "angle:3e-8"],
+    ["verify-all", "--n", "4", "--theta", "angle:3e-8"],
+], ids=" ".join)
+def test_theta_within_the_rank_threshold_of_pm1_is_rejected(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta must stay away from +-1\n"
+
+
+@pytest.mark.parametrize("n, angle", [(16, 3.3e-7), (16, np.pi - 3.3e-7), (4, 8.2e-8)])
+def test_theta_just_past_the_guard_is_counted_right(n, angle, capsys):
+    theta = ["--theta", f"angle:{angle!r}"]
+    assert main(["theorem-check", "--family", "example2", "--n", str(n), *theta]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dim"] == 2 * n - 1
+    assert main(["spectrum", "--family", "example2", "--n", str(n), *theta]) == 0
+    assert json.loads(capsys.readouterr().out)["multiplicity_of_one"] == 2 * n - 1
 
 
 def test_usage_error_exit_code():

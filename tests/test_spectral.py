@@ -17,7 +17,7 @@ from berezin_lab import spectral, symmetry
 from berezin_lab.spectral import (
     PENCIL_ANGLES,
     cluster_eigenvalues,
-    eigenvalue_multiplicity,
+    eigenvalue_multiplicities,
     standardized_matrix,
 )
 from berezin_lab.symmetry import (
@@ -38,12 +38,12 @@ def berezin_and_space(u):
 
 class TestSpectrum:
     def test_n1_single_eigenvalue_one(self):
-        s = spectrum(build_berezin(haar_random_unitary(1, seed=0)))
+        s = spectrum(haar_random_unitary(1, seed=0))
         assert s.multiplicity_of_one == 1 and s.kernel_method_dim == 1
         np.testing.assert_allclose(s.eigenvalues, [1.0], atol=1e-12)
 
     def test_fourier_n2(self):
-        s = spectrum(build_berezin(fourier_matrix(2)))
+        s = spectrum(fourier_matrix(2))
         assert s.multiplicity_of_one == 3
         np.testing.assert_allclose(
             sorted(s.eigenvalues.real), [-1, 1, 1, 1], atol=1e-10
@@ -51,28 +51,28 @@ class TestSpectrum:
         np.testing.assert_allclose(s.eigenvalues.imag, 0.0, atol=1e-10)
 
     def test_symmetric_family_n3(self):
-        s = spectrum(build_berezin(symmetric_family_matrix(3, 1j)))
+        s = spectrum(symmetric_family_matrix(3, 1j))
         assert s.multiplicity_of_one == 5 == 2 * 3 - 1
         s.check()
 
     def test_moduli_on_unit_circle(self):
-        s = spectrum(build_berezin(haar_random_unitary(4, seed=1)))
+        s = spectrum(haar_random_unitary(4, seed=1))
         np.testing.assert_allclose(np.abs(s.eigenvalues), 1.0, atol=1e-8)
 
     def test_cluster_multiplicities_sum(self):
-        s = spectrum(build_berezin(haar_random_unitary(5, seed=2)))
+        s = spectrum(haar_random_unitary(5, seed=2))
         assert sum(m for _, m in s.clusters) == 25
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_clusters_match_svd_kernels_fourier(self, n):
         u = fourier_matrix(n)
-        for rep, mult in spectrum(build_berezin(u)).clusters:
+        for rep, mult in spectrum(u).clusters:
             assert svd_count(u, rep) == mult
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_clusters_match_svd_kernels_symmetric_family(self, n):
         u = symmetric_family_matrix(n, np.exp(0.7j))
-        for rep, mult in spectrum(build_berezin(u)).clusters:
+        for rep, mult in spectrum(u).clusters:
             assert svd_count(u, rep) == mult
 
     def test_invariant_under_diagonal_phases(self):
@@ -81,8 +81,8 @@ class TestSpectrum:
         kap = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 3)))
         lam = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 3)))
         v = validate_unitary(kap @ u.matrix @ lam)
-        su = spectrum(build_berezin(u))
-        sv = spectrum(build_berezin(v))
+        su = spectrum(u)
+        sv = spectrum(v)
         a = np.sort_complex(np.round(su.eigenvalues, 9))
         b = np.sort_complex(np.round(sv.eigenvalues, 9))
         assert np.max(np.abs(a - b)) < 1e-8
@@ -93,7 +93,7 @@ def fixed_symbols(u):
     product, with no pencil: S = X + iY has ker(S - I) = ker(X - I) ∩ ker(Y)
     over the reals, the null space of the real stack [X - I; Y], whose
     singular values are |lambda - 1|; its basis is divided by |u|."""
-    s = standardized_matrix(build_berezin(u))
+    s = standardized_matrix(u.matrix)
     _, sv, vt = np.linalg.svd(np.vstack([s.real - np.eye(len(s)), s.imag]), full_matrices=False)
     basis = vt[sv < 1e-8 * u.n].reshape(-1, u.n, u.n) / np.abs(u.matrix)
     return list(basis.astype(complex))
@@ -167,7 +167,7 @@ class TestSymmetricFamilyTable:
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("theta", [1j, np.exp(2.3j)])
     def test_multiplicity_of_one_is_always_2n_minus_1(self, n, theta):
-        s = spectrum(build_berezin(symmetric_family_matrix(n, theta)))
+        s = spectrum(symmetric_family_matrix(n, theta))
         assert s.multiplicity_of_one == s.kernel_method_dim == 2 * n - 1
         assert verify_symmetric_family_spectrum(n, theta) is True
 
@@ -182,8 +182,8 @@ class TestSymmetricFamilyTable:
 
     @staticmethod
     def _patch_spectrum(monkeypatch, change):
-        def patched(op):
-            summary = spectrum(op)
+        def patched(u):
+            summary = spectrum(u)
             change(summary)
             return summary
 
@@ -220,7 +220,7 @@ class TestSymmetricFamilyTable:
 
 def test_fourier_eigenvalues_are_unit_roots():
     n = 5
-    s = spectrum(build_berezin(fourier_matrix(n)))
+    s = spectrum(fourier_matrix(n))
     expected = sorted(
         [complex(unit_root(n, (r * s_) % n)) for r in range(n) for s_ in range(n)],
         key=lambda z: (round(z.real, 9), round(z.imag, 9)),
@@ -261,7 +261,7 @@ def f2_cubed_perturbed(eps):
 
 def singular_values_of_s_minus_one(u, value=1.0):
     """The singular values of S - value I, the distances |lambda - value|."""
-    s = standardized_matrix(build_berezin(u))
+    s = standardized_matrix(u.matrix)
     return np.linalg.svd(s - value * np.eye(len(s)), compute_uv=False)
 
 
@@ -302,24 +302,22 @@ def max_pairing_distance(a, b):
 
 
 def assert_matches_eigvals(u):
-    b = build_berezin(u)
-    reference = np.linalg.eigvals(standardized_matrix(b))
-    assert max_pairing_distance(spectrum(b).eigenvalues, reference) <= 1e-12
+    reference = np.linalg.eigvals(standardized_matrix(u.matrix))
+    assert max_pairing_distance(spectrum(u).eigenvalues, reference) <= 1e-12
 
 
 class TestStandardizedMatrix:
     @pytest.mark.parametrize("name", ["haar5", "F4", "symmetric8", "F2^3 eps=1e-07"])
     def test_equals_weighted_conjugate_of_both_constructions(self, name):
         u = STRUCTURED[name]()
-        b = build_berezin(u)
-        s = standardized_matrix(b)
+        s = standardized_matrix(u.matrix)
         w = np.abs(u.matrix).ravel()
         composed = w[:, None] * berezin_from_composition(u) / w[None, :]
         np.testing.assert_allclose(s, composed, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("name", ["haar5", "F6", "symmetric8", "F2^3 eps=3e-08"])
     def test_symmetric_unitary_with_commuting_real_parts(self, name):
-        s = standardized_matrix(build_berezin(STRUCTURED[name]()))
+        s = standardized_matrix(STRUCTURED[name]().matrix)
         x, y = s.real, s.imag
         eye = np.eye(len(s))
         assert np.max(np.abs(s - s.T)) <= 1e-12
@@ -329,8 +327,7 @@ class TestStandardizedMatrix:
 
     def test_never_reads_dense_matrix(self):
         b = build_berezin(haar_random_unitary(4, seed=12))
-        spectrum(b)
-        eigenvalue_multiplicity(b)
+        b.apply(np.eye(16).reshape(16, 4, 4))  # every unit symbol at once
         assert vars(b).keys() == {"u", "n"}  # no dense matrix is kept on the transform
 
 
@@ -365,26 +362,26 @@ class TestPencilCount:
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
     def test_haar(self, n, seed):
         u = haar_random_unitary(n, seed=seed)
-        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+        assert eigenvalue_multiplicities(u.matrix) == svd_count(u)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_fourier(self, n):
         u = fourier_matrix(n)
-        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u) == invariant_pair_count(n)
+        assert eigenvalue_multiplicities(u.matrix) == svd_count(u) == invariant_pair_count(n)
 
     @pytest.mark.parametrize("orders, kernel", [
         ((2, 2, 2), 36), ((4, 4), 88), ((2, 2, 2, 2), 136), ((2, 3), 15), ((3, 3), 33),
     ], ids=str)
     def test_fourier_products(self, orders, kernel):
         u = validate_unitary(fourier_product(*orders))
-        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u) == kernel
+        assert eigenvalue_multiplicities(u.matrix) == svd_count(u) == kernel
 
     @pytest.mark.parametrize("eps", [
         10.0**k * m for k in range(-11, -3) for m in (1, 3)] + [1e-3])
     @pytest.mark.parametrize("orders", [(2, 2, 2), (4,), (6,)], ids=str)
     def test_epsilon_scan(self, orders, eps):
         u = perturbed(fourier_product(*orders), eps)
-        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+        assert eigenvalue_multiplicities(u.matrix) == svd_count(u)
 
     @pytest.mark.parametrize("k", range(len(PENCIL_ANGLES)))
     def test_eigenvalues_at_a_spurious_point(self, k):
@@ -441,25 +438,25 @@ class TestCertificate:
         return self._count(monkeypatch, "cholesky")
 
     def test_one_solve_for_haar(self, solves):
-        assert eigenvalue_multiplicity(build_berezin(haar_random_unitary(16, seed=18))) == 31
+        assert eigenvalue_multiplicities(haar_random_unitary(16, seed=18).matrix) == 31
         assert solves == [(256, 256)]
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_one_solve_for_fourier(self, n, solves):
-        assert eigenvalue_multiplicity(build_berezin(fourier_matrix(n))) == invariant_pair_count(n)
+        assert eigenvalue_multiplicities(fourier_matrix(n).matrix) == invariant_pair_count(n)
         assert len(solves) == 1
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_two_solves_with_eigenvalues_at_the_spurious_point(self, n, solves):
         # the symmetric family at theta = e^{-i} has eigenvalues exactly at
         # the first pencil's spurious point -e^{i}
-        assert eigenvalue_multiplicity(build_berezin(symmetric_family_matrix(n, np.exp(-1j)))) == 2 * n - 1
+        assert eigenvalue_multiplicities(symmetric_family_matrix(n, np.exp(-1j)).matrix) == 2 * n - 1
         assert len(solves) == 2
 
     def test_spectrum_runs_one_eigh_for_haar(self, solves, eigh_solves, factorizations):
         # the spectrum's eigenvalues and its count come from one solve, and
         # no certificate checks the count
-        s = spectrum(build_berezin(haar_random_unitary(16, seed=18)))
+        s = spectrum(haar_random_unitary(16, seed=18))
         assert s.kernel_method_dim == s.multiplicity_of_one == 31
         assert eigh_solves == [(256, 256)]
         assert solves == factorizations == []
@@ -469,7 +466,7 @@ class TestCertificate:
                                                              factorizations):
         # eigenvalues at the spurious point do not enter a count taken from
         # the eigenvalues, so no second pencil runs
-        s = spectrum(build_berezin(symmetric_family_matrix(n, np.exp(-1j))))
+        s = spectrum(symmetric_family_matrix(n, np.exp(-1j)))
         assert s.kernel_method_dim == s.multiplicity_of_one == 2 * n - 1
         assert eigh_solves == [(n * n, n * n)]
         assert solves == factorizations == []
@@ -478,10 +475,10 @@ class TestCertificate:
     def test_uncertified_haar_n16(self, seed, solves, eigh_solves, factorizations):
         # Haar samples at the benchmark's n that fail the certificate
         u = haar_random_unitary(16, seed=seed)
-        s = spectral._standardized(u.matrix)
+        s = standardized_matrix(u.matrix)
         assert not spectral._certified(s, np.empty(s.shape))
         factorizations.clear()
-        summary = spectrum(build_berezin(u))
+        summary = spectrum(u)
         assert summary.kernel_method_dim == summary.multiplicity_of_one == 31
         assert eigh_solves == [(256, 256)]
         assert solves == factorizations == []
@@ -514,19 +511,19 @@ class TestCertificate:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_haar_n16(self, seed):
         u = haar_random_unitary(16, seed=seed)
-        assert eigenvalue_multiplicity(build_berezin(u)) == svd_count(u)
+        assert eigenvalue_multiplicities(u.matrix) == svd_count(u)
 
 
 class TestSpectrumCountAgainstPencilCount:
     """spectrum counts the multiplicity of 1 from its own eigenvalues, and
-    eigenvalue_multiplicity from eigvalsh of the pencils under the
+    eigenvalue_multiplicities from eigvalsh of the pencils under the
     certificate: two computations that must give one count."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_haar(self, n, seed):
-        b = build_berezin(haar_random_unitary(n, seed=seed))
-        assert spectrum(b).kernel_method_dim == eigenvalue_multiplicity(b)
+        u = haar_random_unitary(n, seed=seed)
+        assert spectrum(u).kernel_method_dim == eigenvalue_multiplicities(u.matrix)
 
     @pytest.mark.parametrize("u", [
         *(haar_random_unitary(16, seed=seed) for seed in (18, 2138, 2502, 3717)),
@@ -534,8 +531,7 @@ class TestSpectrumCountAgainstPencilCount:
     ], ids=["haar16 seed=18", "haar16 seed=2138", "haar16 seed=2502", "haar16 seed=3717",
             "symmetric5 theta=e^-i", "symmetric8 theta=e^-i"])
     def test_certificate_cases(self, u):
-        b = build_berezin(u)
-        assert spectrum(b).kernel_method_dim == eigenvalue_multiplicity(b)
+        assert spectrum(u).kernel_method_dim == eigenvalue_multiplicities(u.matrix)
 
 
 class TestEigenvaluesAgainstEigvals:
@@ -576,7 +572,7 @@ class TestEigenvaluesAgainstEigvals:
         real_eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(a.shape) or real_eigvals(a))
-        spectrum(build_berezin(haar_random_unitary(6, seed=14)))
+        spectrum(haar_random_unitary(6, seed=14))
         assert (36, 36) not in shapes
 
 

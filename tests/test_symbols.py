@@ -14,6 +14,7 @@ from berezin_lab import (
     jacobian_report,
     operator_to_c_symbol,
     operator_to_d_symbol,
+    spectrum,
     validate_unitary,
 )
 from berezin_lab.spectral import standardized_matrix
@@ -92,6 +93,44 @@ class TestSymbolToOperator:
             )
 
 
+SYMBOL_MAPS = [c_symbol_to_operator, d_symbol_to_operator,
+               operator_to_c_symbol, operator_to_d_symbol]
+
+
+class TestStackedMaps:
+    """The four maps take stacks of symbols or operators along leading axes."""
+
+    @pytest.mark.parametrize("fn", SYMBOL_MAPS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stack_equals_single_calls_bit_for_bit(self, fn, n):
+        rng = np.random.default_rng([24, n])
+        u = haar_random_unitary(n, seed=[24, n])
+        stack = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        out = fn(u, stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], fn(u, stack[idx]))
+
+    def test_round_trips_on_a_stack(self):
+        rng = np.random.default_rng(25)
+        u = haar_random_unitary(4, seed=25)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        np.testing.assert_allclose(
+            c_symbol_to_operator(u, operator_to_c_symbol(u, stack)), stack, atol=1e-10)
+        np.testing.assert_allclose(
+            d_symbol_to_operator(u, operator_to_d_symbol(u, stack)), stack, atol=1e-10)
+        np.testing.assert_allclose(
+            operator_to_c_symbol(u, c_symbol_to_operator(u, stack)), stack, atol=1e-10)
+        np.testing.assert_allclose(
+            operator_to_d_symbol(u, d_symbol_to_operator(u, stack)), stack, atol=1e-10)
+
+    @pytest.mark.parametrize("fn", SYMBOL_MAPS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 3), (3,)])
+    def test_wrong_trailing_shape_rejected(self, fn, shape):
+        with pytest.raises(DimensionMismatchError):
+            fn(haar_random_unitary(3, seed=26), np.ones(shape))
+
+
 class TestOperatorToSymbol:
     def test_identity_gives_constant_one(self):
         u = haar_random_unitary(3, seed=6)
@@ -121,9 +160,11 @@ class TestOperatorToSymbol:
 
 
 # every entry point that divides by the entries of u or takes their phases;
-# the spectral functions take the guarded BerezinTransform
+# standardized_matrix and eigenvalue_multiplicities take a bare array whose
+# entries their callers have checked
 ZERO_ENTRY_GUARDED = {
     "build_berezin": build_berezin,
+    "spectrum": spectrum,
     "jacobian_report": jacobian_report,
     "operator_to_c_symbol": lambda u: operator_to_c_symbol(u, np.eye(2)),
     "operator_to_d_symbol": lambda u: operator_to_d_symbol(u, np.eye(2)),
@@ -134,7 +175,7 @@ ZERO_ENTRY_GUARDED = {
 class TestBerezin:
     def test_n1_is_identity(self):
         u = haar_random_unitary(1, seed=9)
-        np.testing.assert_allclose(standardized_matrix(build_berezin(u)), np.eye(1), atol=1e-14)
+        np.testing.assert_allclose(standardized_matrix(u.matrix), np.eye(1), atol=1e-14)
 
     def test_fixes_sum_symbols(self):
         # any f[k, l] = a_k + b_l is a fixed point
@@ -153,12 +194,12 @@ class TestBerezin:
             u = haar_random_unitary(n, seed=[11, n, trial])
             w = np.abs(u.matrix).ravel()
             composed = w[:, None] * berezin_from_composition(u) / w[None, :]
-            dev = np.max(np.abs(standardized_matrix(build_berezin(u)) - composed))
+            dev = np.max(np.abs(standardized_matrix(u.matrix) - composed))
             assert dev < 1e-9
 
     def test_unitary_in_weighted_product(self):
         u = haar_random_unitary(4, seed=12)
-        std = standardized_matrix(build_berezin(u))
+        std = standardized_matrix(u.matrix)
         np.testing.assert_allclose(std @ std.conj().T, np.eye(16), atol=1e-9)
 
     def test_preserves_weighted_norm(self):
@@ -185,7 +226,7 @@ class TestBerezin:
         space = WeightedSpace.from_unitary(u)
         b = build_berezin(u)
         w = np.abs(u.matrix).ravel()
-        vals, vecs = np.linalg.eig(standardized_matrix(b))
+        vals, vecs = np.linalg.eig(standardized_matrix(u.matrix))
         for i in range(9):
             g = (vecs[:, i] / w).reshape(3, 3)
             theta = vals[i]
@@ -205,7 +246,7 @@ class TestBerezin:
         out = b.apply(stack)
         assert out.shape == stack.shape
         w = np.abs(u.matrix).ravel()
-        dense = standardized_matrix(b) * w[None, :] / w[:, None]  # W^-1 S W
+        dense = standardized_matrix(u.matrix) * w[None, :] / w[:, None]  # W^-1 S W
         for idx in np.ndindex(2, 3):
             np.testing.assert_allclose(out[idx], b.apply(stack[idx]), atol=1e-13)
             np.testing.assert_allclose(out[idx].ravel(), dense @ stack[idx].ravel(), atol=1e-12)

@@ -14,7 +14,7 @@ from berezin_lab import (
     symmetric_family_matrix,
 )
 from berezin_lab import symmetry
-from berezin_lab.spectral import cluster_eigenvalues, eigenvalue_multiplicity
+from berezin_lab.spectral import KERNEL_RANK_TOL, cluster_eigenvalues, eigenvalue_multiplicities
 from berezin_lab.errors import (
     BerezinLabError,
     InvariantViolation,
@@ -25,6 +25,7 @@ from berezin_lab.symmetry import (
     all_shifts,
     check_permutation_equivariance,
     check_shift_commutation,
+    check_theta,
     check_weyl_relations,
     fourier_eigenfunction_check,
     invariant_pair_count,
@@ -73,7 +74,7 @@ class TestFourierEigenfunctions:
     @pytest.mark.parametrize("n,count", [(2, 3), (4, 8), (5, 9)])
     def test_pair_counts_match_multiplicity(self, n, count):
         assert invariant_pair_count(n) == count
-        assert eigenvalue_multiplicity(build_berezin(fourier_matrix(n))) == count
+        assert eigenvalue_multiplicities(fourier_matrix(n).matrix) == count
         assert fourier_eigenfunction_check(n) < 1e-9
 
 
@@ -115,6 +116,16 @@ class TestPermutationEquivariance:
     def test_degenerate_theta_rejected(self):
         with pytest.raises(ThetaDegenerateError):
             check_permutation_equivariance(3, 1.0, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_theta_guard_is_twice_the_rank_threshold(n, side):
+    # the nearest of conj(theta), -conj(theta) to 1 is |theta -+ 1| away
+    tau = KERNEL_RANK_TOL * n
+    with pytest.raises(ThetaDegenerateError):
+        check_theta(side * np.exp(1.99j * tau), n)
+    assert check_theta(side * np.exp(2.01j * tau), n) == side * np.exp(2.01j * tau)
 
 
 class TestShiftCommutation:
