@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import ctypes
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,7 +84,8 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 # not counted.  A sweep chunk holds several samples only while they fit
 # 8 MiB, and past n = 18 it holds one.  An n whose charge passes the cap
 # (n > 64 for verify-all, n > 70 for spectrum, n > 75 for the others) is
-# refused before anything of that size is built.
+# refused before anything of that size is built.  keep_freed_pages changes
+# where arrays live, not what tracemalloc charges for them.
 STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
                       "sweep": SAMPLE_BYTES_PER_N4, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
@@ -93,6 +96,36 @@ def _require_size(command: str, n: int) -> None:
     if charge > MAX_STACK_BYTES:
         raise ValueError(f"n = {n} needs stacks of {charge} bytes, "
                          f"more than the cap of {MAX_STACK_BYTES}")
+
+
+# glibc's mallopt parameters, and the mmap threshold it pins: the ceiling of
+# glibc's own dynamic threshold on 64-bit
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+
+
+@functools.cache
+def keep_freed_pages() -> bool:
+    """Once per process, on glibc only: pin malloc's mmap threshold at
+    32 MiB and its trim threshold at twice that (glibc's own rule), so that
+    arrays under 32 MiB come from the heap and up to 64 MiB of freed heap
+    stays in the process.  The next command then reuses those pages instead
+    of having the kernel zero fresh ones for its n^4 arrays.  Returns
+    whether both thresholds were set."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold first: setting the trim threshold alone would also
+    # pin the mmap threshold, at glibc's 128 KiB default
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) != 1:
+        return False
+    return mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_BYTES) == 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,19 +298,20 @@ def _verify_checks(n, theta, tol, seed):
 
     u = haar_random_unitary(n, rng.integers(2**63))
     space = WeightedSpace.from_unitary(u)
-    dev = 0.0
-    cdev = 0.0
-    for _ in range(10):
-        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        cf, cg = c_symbol_to_operator(u, f), c_symbol_to_operator(u, g)
-        df, dg = d_symbol_to_operator(u, f), d_symbol_to_operator(u, g)
-        hs_c = np.trace(cf @ cg.conj().T)
-        hs_d = np.trace(df @ dg.conj().T)
-        dev = max(dev, abs(hs_c - space.inner(f, g)), abs(hs_d - space.inner(f, g)))
-        cdev = max(cdev, np.max(np.abs(cf.conj().T - d_symbol_to_operator(u, np.conj(f)))))
-    yield "isometry", dev, limit(1e-10)
-    yield "conjugation", cdev, limit(1e-12)
+    # 10 trials of (re f, im f, re g, im g), the draws of taking each part
+    # in turn; fg[t] is the pair (f, g) of trial t
+    z = rng.standard_normal((10, 4, n, n))
+    fg = z[:, 0::2] + 1j * z[:, 1::2]
+    c, d = c_symbol_to_operator(u, fg), d_symbol_to_operator(u, fg)
+    inner = np.array([space.inner(f, g) for f, g in fg])
+    # <A, B>_HS = trace(A B*) = sum of A o conj(B)
+    hs_c = np.sum(c[:, 0] * c[:, 1].conj(), axis=(-2, -1))
+    hs_d = np.sum(d[:, 0] * d[:, 1].conj(), axis=(-2, -1))
+    dev = np.max(np.abs(np.concatenate([hs_c - inner, hs_d - inner])))
+    cf_star = np.swapaxes(c[:, 0].conj(), -1, -2)
+    cdev = np.max(np.abs(cf_star - d_symbol_to_operator(u, fg[:, 0].conj())))
+    yield "isometry", float(dev), limit(1e-10)
+    yield "conjugation", float(cdev), limit(1e-12)
 
     w = np.abs(u.matrix).ravel()
     # the composed matrix (16 n^4 bytes) has no name, so it is freed before
@@ -364,6 +398,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:

@@ -112,14 +112,18 @@ def fourier_eigenfunction_check(n: int) -> float:
 
 
 def permute_symbol(f: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(R_sigma f)[k, l] = f[sigma^-1(k), sigma^-1(l)]."""
-    inv = np.argsort(sigma)
-    return f[np.ix_(inv, inv)]
+    """(R_sigma f)[k, l] = f[sigma^-1(k), sigma^-1(l)].  A stack of
+    permutations (sigma[t]) acts on a stack of symbols (f[t]), one each."""
+    inv = np.argsort(sigma, axis=-1)
+    rows = np.take_along_axis(f, inv[..., :, np.newaxis], axis=-2)
+    return np.take_along_axis(rows, inv[..., np.newaxis, :], axis=-1)
 
 
 def permutation_operator(sigma: np.ndarray) -> np.ndarray:
-    """(S_sigma phi)[k] = phi[sigma^-1(k)]."""
-    return np.eye(len(sigma))[np.argsort(sigma)]
+    """(S_sigma phi)[k] = phi[sigma^-1(k)]; a stack of permutations gives
+    the stack of their matrices."""
+    sigma = np.asarray(sigma)
+    return np.eye(sigma.shape[-1])[np.argsort(sigma, axis=-1)]
 
 
 def all_shifts(f: np.ndarray) -> np.ndarray:
@@ -142,19 +146,17 @@ def check_permutation_equivariance(
     u = symmetric_family_matrix(n, theta)
     b = build_berezin(u)
     rng = np.random.default_rng(seed)
-    dev = 0.0
-    for _ in range(trials):
-        sigma = rng.permutation(n)
-        s_op = permutation_operator(sigma)
-        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rf = permute_symbol(f, sigma)
-        dev = max(
-            dev,
-            np.max(np.abs(c_symbol_to_operator(u, rf) - s_op @ c_symbol_to_operator(u, f) @ s_op.T)),
-            np.max(np.abs(d_symbol_to_operator(u, rf) - s_op @ d_symbol_to_operator(u, f) @ s_op.T)),
-            np.max(np.abs(b.apply(rf) - permute_symbol(b.apply(f), sigma))),
-        )
-    return float(dev)
+    draws = [(rng.permutation(n), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+             for _ in range(trials)]
+    sigma, f = map(np.array, zip(*draws))
+    s_op = permutation_operator(sigma)
+    s_op_t = np.swapaxes(s_op, -1, -2)
+    rf = permute_symbol(f, sigma)
+    return float(max(
+        np.max(np.abs(c_symbol_to_operator(u, rf) - s_op @ c_symbol_to_operator(u, f) @ s_op_t)),
+        np.max(np.abs(d_symbol_to_operator(u, rf) - s_op @ d_symbol_to_operator(u, f) @ s_op_t)),
+        np.max(np.abs(b.apply(rf) - permute_symbol(b.apply(f), sigma))),
+    ))
 
 
 def check_shift_commutation(n: int, trials: int, seed) -> float:

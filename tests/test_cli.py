@@ -14,6 +14,7 @@ from berezin_lab import cli, spectral, submersion
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.errors import InvariantViolation
 from berezin_lab.spectral import standardized_matrix
+from berezin_lab.symbols import WeightedSpace, c_symbol_to_operator, d_symbol_to_operator
 
 # a nan or infinite theta is a usage error, not a non-unitary matrix
 NON_FINITE_THETAS = ["nan,0", "angle:nan", "angle:inf", "1,nan"]
@@ -299,6 +300,34 @@ class TestVerifyAllCommand:
         assert main(["verify-all", "--n", "2", "--format", "json", "--seed", "3"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert all(r["status"] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3, 1), (5, 4), (12, 7)])
+    def test_isometry_rows_match_the_trial_loop(self, n, seed):
+        # the stacked rows draw what the loop drew; conjugation is the same
+        # arithmetic, while the HS product is summed in another order, so
+        # the isometry row may move by rounding (its deviations are ~3e-15)
+        rows = {name: dev for name, dev, _ in cli._verify_checks(n, 1j, None, seed)}
+        isometry, conjugation = _isometry_rows_by_loop(n, seed)
+        assert abs(rows["isometry"] - isometry) <= 1e-13
+        assert rows["conjugation"] == conjugation
+
+
+def _isometry_rows_by_loop(n, seed):
+    """verify-all's isometry and conjugation deviations, one trial at a time."""
+    rng = np.random.default_rng(seed)
+    u = haar_random_unitary(n, rng.integers(2**63))
+    space = WeightedSpace.from_unitary(u)
+    dev = cdev = 0.0
+    for _ in range(10):
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cf, cg = c_symbol_to_operator(u, f), c_symbol_to_operator(u, g)
+        df, dg = d_symbol_to_operator(u, f), d_symbol_to_operator(u, g)
+        hs_c = np.trace(cf @ cg.conj().T)
+        hs_d = np.trace(df @ dg.conj().T)
+        dev = max(dev, abs(hs_c - space.inner(f, g)), abs(hs_d - space.inner(f, g)))
+        cdev = max(cdev, np.max(np.abs(cf.conj().T - d_symbol_to_operator(u, np.conj(f)))))
+    return float(dev), float(cdev)
 
 
 class TestSizeCap:

@@ -117,6 +117,44 @@ class TestPermutationEquivariance:
         with pytest.raises(ThetaDegenerateError):
             check_permutation_equivariance(3, 1.0, trials=1, seed=0)
 
+    def test_stacks_act_one_permutation_each(self):
+        rng = np.random.default_rng(5)
+        sigma = np.array([rng.permutation(5) for _ in range(4)])
+        f = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        ops, rf = symmetry.permutation_operator(sigma), permute_symbol(f, sigma)
+        for t in range(4):
+            np.testing.assert_array_equal(ops[t], symmetry.permutation_operator(sigma[t]))
+            np.testing.assert_array_equal(rf[t], permute_symbol(f[t], sigma[t]))
+            inv = np.argsort(sigma[t])
+            np.testing.assert_array_equal(rf[t], f[t][np.ix_(inv, inv)])
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (7, 2), (12, 3)])
+    def test_matches_the_trial_loop_bit_for_bit(self, n, seed):
+        theta = np.exp(0.7j)
+        assert check_permutation_equivariance(n, theta, 10, seed) == _equivariance_by_loop(
+            n, theta, 10, seed)
+
+
+def _equivariance_by_loop(n, theta, trials, seed):
+    """check_permutation_equivariance one trial at a time: the reference the
+    stacked check must equal exactly."""
+    u = symmetric_family_matrix(n, theta)
+    b = build_berezin(u)
+    rng = np.random.default_rng(seed)
+    dev = 0.0
+    for _ in range(trials):
+        inv = np.argsort(rng.permutation(n))
+        s_op = np.eye(n)[inv]
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rf = f[np.ix_(inv, inv)]
+        dev = max(
+            dev,
+            np.max(np.abs(c_symbol_to_operator(u, rf) - s_op @ c_symbol_to_operator(u, f) @ s_op.T)),
+            np.max(np.abs(d_symbol_to_operator(u, rf) - s_op @ d_symbol_to_operator(u, f) @ s_op.T)),
+            np.max(np.abs(b.apply(rf) - b.apply(f)[np.ix_(inv, inv)])),
+        )
+    return float(dev)
+
 
 @pytest.mark.parametrize("n", [1, 3, 16])
 @pytest.mark.parametrize("side", [1.0, -1.0])
