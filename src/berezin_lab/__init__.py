@@ -1,27 +1,18 @@
 """Operator symbols on a finite set, the Berezin transform, and rank
 analysis of the unitary-to-doubly-stochastic squared-modulus map."""
 
-from .errors import (
-    BerezinLabError,
-    DimensionMismatchError,
-    InvariantViolation,
-    MatrixFileError,
-    NotApplicableError,
-    NotSkewHermitianError,
-    NotSquareError,
-    NotUnitaryError,
-    ThetaDegenerateError,
-    ZeroEntryError,
-)
 from .matrices import (
+    MatrixFileError,
+    NotUnitaryError,
     Unitary,
+    ZeroEntryError,
     haar_random_unitary,
     load_matrix,
     save_matrix,
     to_doubly_stochastic,
     validate_unitary,
 )
-from .spectral import SpectralSummary, spectrum
+from .spectral import InvariantViolation, SpectralSummary, spectrum
 from .submersion import (
     JacobianReport,
     SweepReport,

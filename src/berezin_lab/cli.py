@@ -5,16 +5,18 @@ theorem-check also reject a flag their input source does not read (--theta
 outside example2, --seed outside haar, --tol without --matrix-file, --n or
 --family with --matrix-file).
 
-Exit codes are a stable contract:
+Exit codes are a stable contract, each raised as the exception type named:
   0  success
-  1  usage error (a flag the command or its input does not take, an
-     abbreviated flag, bad theta, a tolerance not positive and finite,
-     samples < 1, an n past the size cap, ...)
-  2  invariant violation / failed check, or a linear-algebra solver that
-     did not converge
-  3  input file missing or unparseable
-  4  input matrix not unitary
-  5  matrix has (near-)zero entries where nonzero ones are required
+  1  ValueError: usage error (a flag the command or its input does not
+     take, an abbreviated flag, bad theta, a tolerance not positive and
+     finite, samples < 1, an n past the size cap, ...)
+  2  InvariantViolation: invariant violation / failed check; also
+     np.linalg.LinAlgError, a linear-algebra solver that did not converge
+  3  MatrixFileError: input file unparseable; also OSError, input file
+     missing or unreadable
+  4  NotUnitaryError: input matrix not unitary
+  5  ZeroEntryError: matrix has (near-)zero entries where nonzero ones
+     are required
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    BerezinLabError,
-    InvariantViolation,
+from .matrices import (
     MatrixFileError,
     NotUnitaryError,
+    Unitary,
     ZeroEntryError,
+    haar_random_unitary,
+    load_matrix,
+    validate_unitary,
 )
-from .matrices import Unitary, haar_random_unitary, load_matrix, validate_unitary
-from .spectral import spectrum, standardized_matrix
+from .spectral import InvariantViolation, spectrum, standardized_matrix
 from .submersion import (
     SAMPLE_BYTES_PER_N4,
     check_sweep_args,
@@ -217,7 +220,7 @@ def cmd_spectrum(args) -> int:
     summary = spectrum(_load_input_matrix(args))
     try:
         summary.check()
-    except ValueError as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         _emit(_json(summary.to_dict()), args.output)
         return EXIT_INVARIANT
@@ -253,7 +256,7 @@ def cmd_theorem_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    check_sweep_args(args.n, args.samples)  # before the per-sample file is truncated
+    check_sweep_args(args.n, args.samples, args.seed)  # before the per-sample file is truncated
     stream_writer = None
     stream_fh = None
     if args.per_sample:
@@ -427,7 +430,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but no usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, BerezinLabError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

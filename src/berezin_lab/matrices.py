@@ -8,15 +8,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MatrixFileError,
-    NotSquareError,
-    NotUnitaryError,
-    ZeroEntryError,
-)
-
 UNITARITY_TOL = 1e-10
 ENTRY_FLOOR = 1e-12
+
+
+class MatrixFileError(Exception):
+    """A matrix file's content is not a valid matrix file (exit 3)."""
+
+
+class NotUnitaryError(Exception):
+    """A matrix is not unitary within its tolerance (exit 4)."""
+
+
+class ZeroEntryError(Exception):
+    """An entry too near zero for its phase or weight to be defined (exit 5)."""
 
 
 @dataclass(frozen=True)
@@ -38,11 +43,12 @@ class Unitary:
 def validate_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> Unitary:
     """Check ||m m* - Id||_max <= tol and wrap the matrix.
 
-    Raises NotSquareError or NotUnitaryError; NaN/Inf entries are rejected.
+    Raises ValueError if m is not square, NotUnitaryError if it is not
+    unitary; NaN/Inf entries are rejected.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return Unitary(matrix=m, nonzero_entries=bool(_check_unitary(m, tol)))
 
 
@@ -50,13 +56,14 @@ def _check_unitary(m: np.ndarray, tol: float) -> np.ndarray:
     """The check of validate_unitary on each matrix of a stack along leading
     axes: raise NotUnitaryError unless every matrix is finite with
     ||m m* - Id||_max <= tol, and say of each whether all its |entries|
-    exceed ENTRY_FLOOR."""
-    if not np.all(np.isfinite(m)):
-        raise NotUnitaryError(float("inf"))
-    gram = m @ np.conj(np.swapaxes(m, -1, -2))
-    dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
-    if dev > tol:
-        raise NotUnitaryError(float(dev))
+    exceed ENTRY_FLOOR.  A matrix that is not finite deviates by inf."""
+    finite = np.all(np.isfinite(m))
+    dev = np.inf
+    if finite:
+        gram = m @ np.conj(np.swapaxes(m, -1, -2))
+        dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
+    if not finite or dev > tol:
+        raise NotUnitaryError(f"matrix is not unitary (max deviation {dev:.3e})")
     return np.min(np.abs(m), axis=(-2, -1)) > ENTRY_FLOOR
 
 

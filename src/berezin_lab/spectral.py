@@ -49,6 +49,10 @@ PENCIL_ANGLES = (0.5, -0.7)
 CERTIFICATE_MARGIN = 1e-10
 
 
+class InvariantViolation(Exception):
+    """A construction broke one of its own invariants (exit 2)."""
+
+
 def kernel_dim(singular_values: np.ndarray, n: int):
     """The rank rule both pipelines share: singular values (or moduli of
     pencil eigenvalues, or distances |lambda - 1| of eigenvalues of S) below
@@ -80,18 +84,18 @@ class SpectralSummary:
     kernel_method_dim: int
 
     def check(self) -> None:
-        """Raise ValueError if any structural invariant fails."""
+        """Raise InvariantViolation if any structural invariant fails."""
         if sum(m for _, m in self.clusters) != self.n**2:
-            raise ValueError("cluster multiplicities do not sum to n^2")
+            raise InvariantViolation("cluster multiplicities do not sum to n^2")
         if np.max(np.abs(np.abs(self.eigenvalues) - 1.0)) > 1e-8:
-            raise ValueError("eigenvalue off the unit circle beyond 1e-8")
+            raise InvariantViolation("eigenvalue off the unit circle beyond 1e-8")
         if self.multiplicity_of_one != self.kernel_method_dim:
-            raise ValueError(
+            raise InvariantViolation(
                 f"clustering gives multiplicity {self.multiplicity_of_one} but "
                 f"the kernel estimator gives {self.kernel_method_dim}"
             )
         if self.multiplicity_of_one < 2 * self.n - 1:
-            raise ValueError(
+            raise InvariantViolation(
                 f"multiplicity of 1 is {self.multiplicity_of_one} < {2 * self.n - 1}"
             )
 

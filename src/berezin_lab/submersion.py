@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSkewHermitianError
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
@@ -63,7 +62,7 @@ def _skew_hermitian(x: np.ndarray) -> np.ndarray:
     """x as a complex array, checked to satisfy X + X* = 0."""
     x = np.asarray(x, dtype=complex)
     if np.max(np.abs(x + np.conj(np.swapaxes(x, -1, -2)))) > 1e-12:
-        raise NotSkewHermitianError("X + X* must vanish")
+        raise ValueError("X + X* must vanish")
     return x
 
 
@@ -189,13 +188,15 @@ class SweepReport:
         }
 
 
-def check_sweep_args(n: int, samples: int) -> None:
-    """Raise ValueError unless a sweep of samples unitaries of size n can
-    run; the CLI calls it before opening its per-sample file."""
+def check_sweep_args(n: int, samples: int, seed: int) -> None:
+    """Raise ValueError unless a sweep of samples unitaries of size n from
+    seed can run; the CLI calls it before opening its per-sample file."""
     if n < 2:
         raise ValueError("sweep needs n >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepReport:
@@ -208,7 +209,7 @@ def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepRep
     budget.  on_chunk, if given, is called as each chunk finishes with its
     (index, JacobianReport or None) pairs in index order (streaming hook
     for the CLI)."""
-    check_sweep_args(n, samples)
+    check_sweep_args(n, samples, seed)
     size = _chunk_size(n)
     skipped = 0
     submersive = 0

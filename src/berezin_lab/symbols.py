@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .matrices import Unitary, require_nonzero, to_doubly_stochastic
 
 
@@ -25,7 +24,7 @@ def _check_same_shape(u: Unitary, f: np.ndarray) -> np.ndarray:
     """f as a complex array of one n x n symbol or a stack of them."""
     f = np.asarray(f, dtype=complex)
     if f.shape[-2:] != (u.n, u.n):
-        raise DimensionMismatchError(f"symbol shape {f.shape} vs matrix size {u.n}")
+        raise ValueError(f"symbol shape {f.shape} vs matrix size {u.n}")
     return f
 
 
@@ -48,9 +47,7 @@ class WeightedSpace:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
         if f.shape != self.weights.shape or g.shape != self.weights.shape:
-            raise DimensionMismatchError(
-                f"shapes {f.shape}, {g.shape} vs weights {self.weights.shape}"
-            )
+            raise ValueError(f"shapes {f.shape}, {g.shape} vs weights {self.weights.shape}")
         return complex(np.sum(f * np.conj(g) * self.weights))
 
     def norm(self, f: np.ndarray) -> float:

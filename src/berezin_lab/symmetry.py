@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation, NotApplicableError, ThetaDegenerateError
 from .matrices import Unitary, validate_unitary
-from .spectral import CLUSTER_TOL, KERNEL_RANK_TOL, cluster_eigenvalues, spectrum
+from .spectral import (CLUSTER_TOL, KERNEL_RANK_TOL, InvariantViolation,
+                       cluster_eigenvalues, spectrum)
 from .symbols import (
     BerezinTransform,
     WeightedSpace,
@@ -42,7 +42,7 @@ def check_theta(theta: complex, n: int) -> complex:
     if not abs(abs(theta) - 1.0) <= 1e-8:  # also rejects nan
         raise ValueError(f"|theta| must equal 1, got {abs(theta):.6f}")
     if min(abs(theta - 1.0), abs(theta + 1.0)) < 2 * KERNEL_RANK_TOL * n:
-        raise ThetaDegenerateError("theta must stay away from +-1")
+        raise ValueError("theta must stay away from +-1")
     return theta
 
 
@@ -191,7 +191,7 @@ def isotypic_blocks(n: int) -> list[tuple[np.ndarray, int]]:
        (only for n >= 4).
     """
     if n < 3:
-        raise NotApplicableError("isotypic split needs n >= 3")
+        raise ValueError("isotypic split needs n >= 3")
     a = np.eye(n)[0] - np.eye(n)[1]
     cycle3 = np.zeros((n, n))
     cycle3[[0, 1, 2], [1, 2, 0]] = 1.0
@@ -260,7 +260,7 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     empty predictions add no member.
     """
     if n < 3:
-        raise NotApplicableError("spectrum table needs n >= 3")
+        raise ValueError("spectrum table needs n >= 3")
     u = symmetric_family_matrix(n, theta)
     summary = spectrum(u)
     values = [summary.eigenvalues]

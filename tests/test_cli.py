@@ -12,7 +12,6 @@ import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
 from berezin_lab import cli, spectral, submersion
 from berezin_lab.cli import main, parse_theta
-from berezin_lab.errors import InvariantViolation
 from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symbols import WeightedSpace, c_symbol_to_operator, d_symbol_to_operator
 
@@ -227,6 +226,10 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--n", "3", "--samples", "0", "--per-sample", str(csv_path)])
         assert exc.value.code == 1
+        capsys.readouterr()
+        argv = ["sweep", "--n", "3", "--samples", "2", "--seed", "-1", "--per-sample", str(csv_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert csv_path.read_text() == earlier
 
 
@@ -503,14 +506,15 @@ def test_tolerance_must_be_positive_and_finite(argv, capsys):
     assert "positive finite" in capsys.readouterr().err
 
 
-def test_invariant_violation_exits_2(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise InvariantViolation("transform leaves an isotypic block (residual 1.750e+00)")
-
-    monkeypatch.setattr(cli, "spectrum", broken)
+def test_spectrum_check_exits_2_with_the_summary(monkeypatch, capsys):
+    # a summary that fails its own check is still printed, for inspection
+    summary = spectral.spectrum(berezin_lab.fourier_matrix(3))
+    summary.kernel_method_dim += 1
+    monkeypatch.setattr(cli, "spectrum", lambda u: summary)
     assert main(["spectrum", "--family", "fourier", "--n", "3"]) == 2
-    err = capsys.readouterr().err
-    assert "isotypic block" in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == cli._json(summary.to_dict()) + "\n"
+    assert captured.err.startswith("invariant violation: clustering gives multiplicity")
 
 
 @pytest.mark.parametrize("solver, argv", [

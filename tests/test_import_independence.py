@@ -47,5 +47,5 @@ def test_imported_modules_sees_every_spelling(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("from .symbols import a\nfrom . import spectral\n"
                     f"import {PACKAGE}.matrices\nfrom {PACKAGE}.cli import main\n"
-                    f"from {PACKAGE} import errors\nimport numpy\n")
-    assert imported_modules(path) == {"symbols", "spectral", "matrices", "cli", "errors"}
+                    f"from {PACKAGE} import symmetry\nimport numpy\n")
+    assert imported_modules(path) == {"symbols", "spectral", "matrices", "cli", "symmetry"}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from berezin_lab import (
-    NotSquareError,
     NotUnitaryError,
     ZeroEntryError,
     haar_random_unitary,
@@ -30,7 +29,7 @@ def test_shear_rejected():
 
 
 def test_nonsquare_rejected():
-    with pytest.raises(NotSquareError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         validate_unitary(np.ones((2, 3)))
 
 

@@ -28,7 +28,6 @@ from berezin_lab.symmetry import (
     unit_root,
     verify_symmetric_family_spectrum,
 )
-from berezin_lab.errors import NotApplicableError, ThetaDegenerateError
 
 
 def berezin_and_space(u):
@@ -208,13 +207,13 @@ class TestSymmetricFamilyTable:
         assert verify_symmetric_family_spectrum(3, 1j) is holds
 
     def test_degenerate_theta_rejected(self):
-        with pytest.raises(ThetaDegenerateError):
+        with pytest.raises(ValueError, match="theta must stay away from"):
             verify_symmetric_family_spectrum(3, 1.0)
-        with pytest.raises(ThetaDegenerateError):
+        with pytest.raises(ValueError, match="theta must stay away from"):
             verify_symmetric_family_spectrum(3, -1.0)
 
     def test_small_n_rejected(self):
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ValueError, match="spectrum table needs n >= 3"):
             verify_symmetric_family_spectrum(2, 1j)
 
 
