@@ -22,7 +22,6 @@ Exit codes are a stable contract, each raised as the exception type named:
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import ctypes
 import functools
@@ -86,7 +85,7 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 # rows.  LAPACK's own copy of the matrix it works on, up to 8 n^4 more, is
 # not counted.  A sweep chunk holds several samples only while they fit
 # 8 MiB, and past n = 18 it holds one.  An n whose charge passes the cap
-# (n > 64 for verify-all, n > 70 for spectrum, n > 75 for the others) is
+# (n > 64 for verify-all, n > 70 for spectrum, n > 77 for the others) is
 # refused before anything of that size is built.  keep_freed_pages changes
 # where arrays live, not what tracemalloc charges for them.
 STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
@@ -151,10 +150,13 @@ def _positive_float(text: str) -> float:
 
 
 def parse_theta(text: str) -> complex:
-    """"angle:x" gives exp(ix) (unit modulus by construction); "re,im" is
-    accepted when within 1e-8 of the unit circle and normalized onto it."""
+    """"angle:x" gives exp(ix), x finite; "re,im" is accepted when within
+    1e-8 of the unit circle and normalized onto it."""
     if text.startswith("angle:"):
-        return cmath.exp(1j * float(text[len("angle:"):]))
+        x = float(text[len("angle:"):])
+        if not math.isfinite(x):
+            raise ValueError(f"theta angle must be finite, got {text!r}")
+        return complex(math.cos(x), math.sin(x))
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"theta must be 're,im' or 'angle:<radians>', got {text!r}")
@@ -191,6 +193,12 @@ def _input_flag(args, flag):
     return INPUT_DEFAULTS[flag] if value is None else value
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
+
+
 def _load_input_matrix(args) -> Unitary:
     """The matrix named by --matrix-file or --family.  A flag the chosen
     source does not read is a usage error, not a value dropped unread."""
@@ -213,7 +221,7 @@ def _load_input_matrix(args) -> Unitary:
         return fourier_matrix(n)
     if source == "example2":
         return symmetric_family_matrix(n, parse_theta(_input_flag(args, "theta")))
-    return haar_random_unitary(n, _input_flag(args, "seed"))
+    return haar_random_unitary(n, _check_seed(_input_flag(args, "seed")))
 
 
 def cmd_spectrum(args) -> int:
@@ -294,7 +302,7 @@ def _verify_checks(n, theta, tol, seed):
     """Yield (name, deviation, limit) for each check of the full property
     suite at size n; tol, if not None, replaces the limit of every check
     but the yes/no spectrum-table row, whose limit stays 0.5."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
 
     def limit(default):
         return tol if tol is not None else default

@@ -57,12 +57,14 @@ def _check_unitary(m: np.ndarray, tol: float) -> np.ndarray:
     axes: raise NotUnitaryError unless every matrix is finite with
     ||m m* - Id||_max <= tol, and say of each whether all its |entries|
     exceed ENTRY_FLOOR.  A matrix that is not finite deviates by inf."""
-    finite = np.all(np.isfinite(m))
     dev = np.inf
-    if finite:
-        gram = m @ np.conj(np.swapaxes(m, -1, -2))
+    if np.all(np.isfinite(m)):
+        # entries near the largest double overflow the product: its inf or
+        # NaN deviation is the verdict, and numpy's own warning adds nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m @ np.conj(np.swapaxes(m, -1, -2))
         dev = np.max(np.abs(gram - np.eye(m.shape[-1])))
-    if not finite or dev > tol:
+    if not dev <= tol:  # a NaN deviation fails too
         raise NotUnitaryError(f"matrix is not unitary (max deviation {dev:.3e})")
     return np.min(np.abs(m), axis=(-2, -1)) > ENTRY_FLOOR
 

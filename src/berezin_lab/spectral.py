@@ -10,16 +10,14 @@ which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
-pencil of X and Y.  The multiplicity of 1 is the count of its small
-eigenvalues, once a Cholesky factorization certifies that its one spurious
-zero holds no eigenvalue; only where it does not does a second pencil run.
-The spectrum comes from the eigenvectors of one solve of the same pencil,
-and the spectrum's multiplicity of 1 is counted from its own eigenvalues.
+pencil of X and Y.  The multiplicity of 1 is its count of small eigenvalues
+where that count is 2n - 1, the dimension of the sum symbols every Berezin
+transform fixes; any other count runs a second pencil.  The spectrum, and
+its own count of 1, come from the eigenvectors of one solve of the pencil.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,19 +32,11 @@ RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 # the angles phi of the pencils Y + tan(phi) (I - X) that count the
 # multiplicity of 1; each also vanishes at its spurious point -e^{2 i phi},
 # and the two points, e^{i (pi + 1)} and e^{i (pi - 1.4)}, are distinct and
-# no root of unity.  The second pencil runs only where the certificate fails.
-# Two eigenvalues of S share an eigenvalue of the first pencil only when
-# their angles sum to pi + 1 mod 2 pi, which no two roots of unity do.
+# no root of unity.  The second pencil runs only where the first one does
+# not count 2n - 1.  Two eigenvalues of S share an eigenvalue of the first
+# pencil only when their angles sum to pi + 1 mod 2 pi, which no two roots
+# of unity do.
 PENCIL_ANGLES = (0.5, -0.7)
-# The certificate is a Cholesky factorization of
-# (1 - CERTIFICATE_MARGIN) I - Re(conj(z) S), z the first pencil's
-# spurious point: it succeeds only when no eigenvalue of S lies
-# within sqrt(2 CERTIFICATE_MARGIN) = 1.4e-5 of z.  The margin is far above
-# the rounding of the factorization, n^2 eps ||A|| <= 2.6e-12 for n <= 76
-# (the CLI's size caps admit less), and 1.4e-5 is far above the rank
-# threshold 1e-8 n <= 7.6e-7, so past it the pencil's zero at z counts
-# nothing.
-CERTIFICATE_MARGIN = 1e-10
 
 
 class InvariantViolation(Exception):
@@ -141,71 +131,41 @@ def cluster_eigenvalues(values: np.ndarray) -> tuple[list, np.ndarray]:
     return [(s / c, c) for s, c in zip(sums, counts)], ids
 
 
-def _real_part(s: np.ndarray, w: complex, shift: float, out: np.ndarray) -> np.ndarray:
-    """Re(w S) + shift I, for S or each S of a stack, into the real buffer
-    out: Re(w S) = Re w X - Im w Y, taken from the interleaved real and
-    imaginary parts of S with no complex temporary, in one pass.  Every
-    pencil and every certificate matrix is built this way, into one shared
-    buffer."""
-    parts = s.view(np.float64).reshape(*s.shape, 2)
-    np.matmul(parts, [w.real, -w.imag], out=out)
-    diag = np.arange(out.shape[-1])
-    out[..., diag, diag] += shift
-    return out
-
-
 def _pencil(s: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
-    """The pencil M_phi = Y + tan(phi) (I - X) of S = X + i Y, which is
-    Re(-(tan(phi) + i) S) + tan(phi) I, into out.  It is real symmetric and
-    has the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the
-    eigenvector of each eigenvalue e^{it} of S.  Near t = 0 that is
-    |e^{it} - 1| (1 + O(t)), the scale of the singular values of S - I; it
-    also vanishes at the spurious point t = pi + 2 phi."""
+    """The pencil M_phi = Y + tan(phi) (I - X) of S = X + i Y, or of each S
+    of a stack, into the real buffer out.  It is real symmetric, with the
+    eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the eigenvector of
+    each eigenvalue e^{it} of S: |e^{it} - 1| (1 + O(t)) near t = 0, the
+    scale of S - I's singular values, and 0 at the spurious t = pi + 2 phi."""
     t = math.tan(phi)
-    return _real_part(s, -(t + 1j), t, out)
-
-
-def _certified(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Whether S has no eigenvalue e^{it} within sqrt(2 CERTIFICATE_MARGIN)
-    of the first pencil's spurious point e^{i t0}, t0 = pi + 2 PENCIL_ANGLES[0],
-    a bool array over the leading axes of S.  The matrix
-    A = (1 - CERTIFICATE_MARGIN) I - Re(e^{-i t0} S), built into out, has
-    the eigenvalues 1 - CERTIFICATE_MARGIN - cos(t - t0), and its Cholesky
-    factorization succeeds when it is positive definite."""
-    a = _real_part(s, cmath.exp(-2j * PENCIL_ANGLES[0]), 1.0 - CERTIFICATE_MARGIN, out)
-    return _positive_definite(a)
-
-
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has a Cholesky factorization; a stack
-    in which one fails is factored again matrix by matrix."""
-    try:
-        np.linalg.cholesky(a)
-        return np.ones(a.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.zeros((), dtype=bool)
-    return np.array([_positive_definite(b) for b in a])
+    # -t X + Y from the interleaved real and imaginary parts of S, with no
+    # complex temporary, in one pass
+    parts = s.view(np.float64).reshape(*s.shape, 2)
+    np.matmul(parts, [-t, 1.0], out=out)
+    diag = np.arange(out.shape[-1])
+    out[..., diag, diag] += t
+    return out
 
 
 def _multiplicity(s: np.ndarray):
     """The number of eigenvalues of S within KERNEL_RANK_TOL * n of 1, for S
     or each S of a stack (a list), from eigvalsh alone: the first pencil's
-    count of small eigenvalues where the certificate holds, else the
-    smaller of the two pencils' counts.
+    count where it is 2n - 1, else the smaller of the two pencils' counts.
 
-    A certified count is exact: the first pencil's one other zero, at its
-    spurious point, holds no eigenvalue.  The smaller count overstates only
-    if S has eigenvalues within about the threshold of both spurious
-    points, and an overcount makes the Berezin side disagree with the
-    Jacobian: a failed check, never a silent pass."""
+    Every Berezin transform fixes the 2n - 1 sum symbols a_k + b_l; rounding
+    moves their pencil eigenvalues by about n^2 eps at most (Weyl's
+    inequality), under 2e-12 for n <= 77, far below the threshold.  So the
+    first count is never below 2n - 1, and 2n - 1 leaves no eigenvalue at
+    the pencil's spurious zero: it is exact.  The smaller count never
+    undercounts; it overstates only with eigenvalues within about the
+    threshold of both spurious points: exit 2 as a failed check, never a pass."""
     n = math.isqrt(s.shape[-1])
     buf = np.empty(s.shape)
     mu = np.linalg.eigvalsh(_pencil(s, PENCIL_ANGLES[0], buf))
     counts = np.asarray(kernel_dim(np.abs(mu), n))
-    # the second pencil runs on each uncertified S alone, in its own slice
-    # of the buffer
-    for i in map(tuple, np.argwhere(~_certified(s, buf))):
+    # the second pencil runs on each other S alone, in its own slice of the
+    # buffer
+    for i in map(tuple, np.argwhere(counts != 2 * n - 1)):
         mu = np.linalg.eigvalsh(_pencil(s[i], PENCIL_ANGLES[1], buf[i]))
         counts[i] = min(counts[i], kernel_dim(np.abs(mu), n))
     return counts.tolist()
@@ -248,9 +208,8 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
 
 def spectrum(u: Unitary) -> SpectralSummary:
     """All n^2 eigenvalues of the Berezin transform of u, clustered, and the
-    multiplicity of 1 counted from them by the rank rule, the eigenvalues
-    lambda with |lambda - 1| below KERNEL_RANK_TOL * n; no certificate and
-    no second pencil run.  The count is authoritative; the cluster at 1
+    multiplicity of 1 counted from them by the rank rule, |lambda - 1| below
+    KERNEL_RANK_TOL * n.  The count is authoritative; the cluster at 1
     checks it (it can merge values that drift near 1)."""
     require_nonzero(u)
     eigenvalues = _eigenvalues(standardized_matrix(u.matrix))
@@ -274,7 +233,6 @@ def spectrum(u: Unitary) -> SpectralSummary:
 def eigenvalue_multiplicities(m: np.ndarray):
     """The multiplicity of 1 as an eigenvalue of the Berezin transform of
     the unitary matrix m, or of each of a stack along leading axes (a list),
-    without the spectrum: one batched eigvalsh of a real symmetric pencil and
-    one batched Cholesky certificate (a second pencil where it fails).  The
-    entries of m must be nonzero."""
+    without the spectrum: one batched eigvalsh of a pencil, and a second
+    only where the first does not count 2n - 1.  Entries must be nonzero."""
     return _multiplicity(standardized_matrix(m))

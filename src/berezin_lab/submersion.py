@@ -13,12 +13,12 @@ from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import eigenvalue_multiplicities, kernel_dim
 
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
-# tracemalloc measures it at n = 12 to 20: the Berezin side's complex S
-# (16 n^4), the real buffer of the pencil and certificate (8 n^4), the
-# Cholesky factor (8 n^4) and smaller arrays.  The Jacobian side holds its
-# real Jacobian (8 n^4), freed before the Berezin side runs.  A sweep chunk
-# and the CLI's size cap of theorem-check and sweep both charge this.
-SAMPLE_BYTES_PER_N4 = 33
+# tracemalloc measures it at n = 12 to 20 (29.7 at n = 12, 24.2 at n = 16
+# and 20): the Berezin side's complex S (16 n^4), the real buffer of the
+# pencils (8 n^4) and smaller arrays.  The Jacobian side holds its real
+# Jacobian (8 n^4), freed before the Berezin side runs.  A sweep chunk and
+# the CLI's size cap of theorem-check and sweep both charge this.
+SAMPLE_BYTES_PER_N4 = 30
 # Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
 
@@ -128,7 +128,7 @@ def _jacobians(m: np.ndarray) -> np.ndarray:
 def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
     """jacobian_report for each unitary of a (samples, n, n) stack whose
     entries are all nonzero, with one batched Jacobian SVD and, on the
-    Berezin side, one batched eigvalsh and Cholesky factorization.
+    Berezin side, one call of eigenvalue_multiplicities on the whole stack.
 
     Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
     differential of 2|u| in place of |u|^2: the kernel is the same since

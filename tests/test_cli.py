@@ -36,6 +36,15 @@ class TestThetaParsing:
         with pytest.raises(ValueError):
             parse_theta("nope")
 
+    @pytest.mark.parametrize("x", [-1.0, 1.0, -1.4, 1.4, 3.1, -2.5, 1e20])
+    def test_polar_form_is_exp_bit_for_bit(self, x):
+        assert parse_theta(f"angle:{x!r}") == cmath.exp(1j * x)
+
+    @pytest.mark.parametrize("text", ["angle:inf", "angle:-inf", "angle:nan"])
+    def test_non_finite_angle_rejected(self, text):
+        with pytest.raises(ValueError, match="theta angle must be finite"):
+            parse_theta(text)
+
 
 class TestSpectrumCommand:
     def test_fourier_prime(self, capsys):
@@ -346,8 +355,8 @@ class TestSizeCap:
         pytest.param(argv, charge, id=" ".join(argv)) for argv, charge in [
             (["spectrum", "--family", "haar"], 44 * 5**4),
             (["spectrum", "--family", "fourier"], 44 * 5**4),
-            (["theorem-check", "--family", "example2"], 33 * 5**4),
-            (["sweep", "--samples", "2"], 33 * 5**4),
+            (["theorem-check", "--family", "example2"], 30 * 5**4),
+            (["sweep", "--samples", "2"], 30 * 5**4),
             (["verify-all"], 64 * 5**4),
         ]])
     def test_past_cap_refused(self, argv, charge, capsys):
@@ -481,6 +490,44 @@ def test_value_the_input_does_not_read_is_usage_error(argv, tmp_path, capsys):
     assert main([a.format(f3=f3) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "theorem-check"])
+@pytest.mark.parametrize("m, dev", [
+    (np.full((2, 2), 1e308), "inf"),
+    # the Gram product's inf - inf gives a NaN deviation, which must fail too
+    (np.array([[-1e308j, -1e308j], [-1e308j, 1e308]]), "nan"),
+], ids=["inf", "nan"])
+def test_overflowing_matrix_file_is_not_unitary(command, m, dev, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    save_matrix(path, m)
+    assert main([command, "--matrix-file", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: matrix is not unitary (max deviation {dev})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "haar", "--n", "3", "--seed", "-1"],
+    ["theorem-check", "--family", "haar", "--n", "3", "--seed", "-1"],
+    ["sweep", "--n", "3", "--samples", "2", "--seed", "-1"],
+    ["verify-all", "--n", "3", "--seed", "-1"],
+], ids=" ".join)
+def test_negative_seed_is_usage_error(argv, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("family", ["fourier", "example2"])
+def test_negative_seed_unread_by_the_source_is_named_unread(family, capsys):
+    assert main(["spectrum", "--family", family, "--n", "3", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"error: {family} input does not take --seed\n"
 
 
 @pytest.mark.parametrize("argv", [
