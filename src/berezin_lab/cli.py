@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -44,6 +45,7 @@ from .matrices import (
 from .spectral import InvariantViolation, spectrum, standardized_matrix
 from .submersion import (
     SAMPLE_BYTES_PER_N4,
+    JacobianReport,
     check_sweep_args,
     jacobian_report,
     submersion_sweep,
@@ -76,18 +78,18 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 
 # Each command is charged its peak of numpy arrays in bytes per n^4, as
 # tracemalloc measures it at n = 12 to 20 (the multiple falls as n grows):
-# theorem-check and a sweep charge one ranked sample, SAMPLE_BYTES_PER_N4;
-# spectrum holds S, the buffer of the pencil it solves and its eigenvectors,
-# then a copy of Y and Y Q in place of the buffer (40 n^4);
-# verify-all peaks at the berezin-consistency row, where S stands beside the
-# composed Berezin matrix and their difference (56 to 57 n^4; the charge of
-# 64 leaves room above it), and frees the composed matrix before the later
+# spectrum, 44 n^4, holds S, the buffer of the pencil it solves and its
+# eigenvectors, then a copy of Y and Y Q in place of the buffer (40 n^4);
+# theorem-check and a sweep, 30 n^4, charge one ranked sample,
+# SAMPLE_BYTES_PER_N4; verify-all, 64 n^4, peaks at the berezin-consistency
+# row, where S stands beside the composed Berezin matrix and their
+# difference (56 to 57 n^4), and frees the composed matrix before the later
 # rows.  LAPACK's own copy of the matrix it works on, up to 8 n^4 more, is
 # not counted.  A sweep chunk holds several samples only while they fit
 # 8 MiB, and past n = 18 it holds one.  An n whose charge passes the cap
-# (n > 64 for verify-all, n > 70 for spectrum, n > 77 for the others) is
-# refused before anything of that size is built.  keep_freed_pages changes
-# where arrays live, not what tracemalloc charges for them.
+# (n above 70, 77 and 64 respectively) is refused before anything of that
+# size is built.  keep_freed_pages changes where arrays live, not what
+# tracemalloc charges for them.
 STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
                       "sweep": SAMPLE_BYTES_PER_N4, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
@@ -265,28 +267,23 @@ def cmd_theorem_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     check_sweep_args(args.n, args.samples, args.seed)  # before the per-sample file is truncated
+    # the per-sample columns: JacobianReport's fields between n and singular_values
+    columns = [field.name for field in dataclasses.fields(JacobianReport)][1:-1]
     stream_writer = None
     stream_fh = None
     if args.per_sample:
         stream_fh = open(args.per_sample, "w", newline="")
         stream_writer = csv.writer(stream_fh)
-        stream_writer.writerow(
-            ["sample", "skipped", "rank", "kernel_dim", "berezin_multiplicity_of_one",
-             "theorem_holds", "is_submersion"]
-        )
+        stream_writer.writerow(["sample", "skipped", *columns])
 
     def on_chunk(chunk):
         if stream_writer is None:
             return
         for i, report in chunk:
             if report is None:
-                stream_writer.writerow([i, 1, "", "", "", "", ""])
+                stream_writer.writerow([i, 1, *[""] * len(columns)])
             else:
-                stream_writer.writerow(
-                    [i, 0, report.rank, report.kernel_dim,
-                     report.berezin_multiplicity_of_one,
-                     int(report.theorem_holds), int(report.is_submersion)]
-                )
+                stream_writer.writerow([i, 0, *(int(getattr(report, c)) for c in columns)])
         stream_fh.flush()
 
     try:
@@ -314,7 +311,7 @@ def _verify_checks(n, theta, tol, seed):
     z = rng.standard_normal((10, 4, n, n))
     fg = z[:, 0::2] + 1j * z[:, 1::2]
     c, d = c_symbol_to_operator(u, fg), d_symbol_to_operator(u, fg)
-    inner = np.array([space.inner(f, g) for f, g in fg])
+    inner = space.inner(fg[:, 0], fg[:, 1])
     # <A, B>_HS = trace(A B*) = sum of A o conj(B)
     hs_c = np.sum(c[:, 0] * c[:, 1].conj(), axis=(-2, -1))
     hs_d = np.sum(d[:, 0] * d[:, 1].conj(), axis=(-2, -1))
@@ -344,21 +341,20 @@ def _verify_checks(n, theta, tol, seed):
 def cmd_verify_all(args) -> int:
     n = args.n
     theta = check_theta(parse_theta(args.theta), n)
-    rows = [(name, n, dev, lim, "pass" if dev <= lim else "FAIL")
+    rows = [{"check": name, "n": n, "deviation": dev, "limit": lim,
+             "status": "pass" if dev <= lim else "FAIL"}
             for name, dev, lim in _verify_checks(n, theta, args.tol_override, args.seed)]
 
     if args.format == "json":
-        _emit(_json([
-            {"check": r[0], "n": r[1], "deviation": r[2], "limit": r[3], "status": r[4]}
-            for r in rows
-        ]), args.output)
+        _emit(_json(rows), args.output)
     else:
-        width = max(len(r[0]) for r in rows)
+        width = max(len(r["check"]) for r in rows)
         lines = [f"{'check':<{width}}  n  max deviation   limit        status"]
-        for name, n, dev, lim, status in rows:
-            lines.append(f"{name:<{width}}  {n}  {dev:<14.3e}  {lim:<11.1e}  {status}")
+        for r in rows:
+            lines.append(f"{r['check']:<{width}}  {r['n']}  {r['deviation']:<14.3e}  "
+                         f"{r['limit']:<11.1e}  {r['status']}")
         _emit("\n".join(lines), args.output)
-    return EXIT_OK if all(r[4] == "pass" for r in rows) else EXIT_INVARIANT
+    return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_INVARIANT
 
 
 @functools.cache
@@ -373,8 +369,8 @@ def build_parser() -> _Parser:
     def command(name, func, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func.__name__)
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n", type=int, default=INPUT_DEFAULTS["n"])
+        p.add_argument("--seed", type=int, default=INPUT_DEFAULTS["seed"])
         p.add_argument("--output", default=None, help="write report here instead of stdout")
         return p
 
@@ -400,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--per-sample", default=None, help="stream per-sample CSV here")
 
     p = command("verify-all", cmd_verify_all, "run the full property suite")
-    p.add_argument("--theta", default="0,1", help=THETA_HELP)
+    p.add_argument("--theta", default=INPUT_DEFAULTS["theta"], help=THETA_HELP)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--tol-override", type=_positive_float, default=None,
                    help="replace the tolerance of every check but the yes/no "

@@ -68,24 +68,18 @@ def _skew_hermitian(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class JacobianReport:
+    """One theorem verdict; its fields, in order, are its JSON keys."""
+
     n: int
-    singular_values: np.ndarray
     rank: int
     kernel_dim: int
     berezin_multiplicity_of_one: int
     theorem_holds: bool
     is_submersion: bool
+    singular_values: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rank": self.rank,
-            "kernel_dim": self.kernel_dim,
-            "berezin_multiplicity_of_one": self.berezin_multiplicity_of_one,
-            "theorem_holds": self.theorem_holds,
-            "is_submersion": self.is_submersion,
-            "singular_values": [float(s) for s in self.singular_values],
-        }
+        return {**vars(self), "singular_values": [float(s) for s in self.singular_values]}
 
 
 def jacobian_report(u: Unitary) -> JacobianReport:
@@ -176,16 +170,8 @@ class SweepReport:
     max_kernel_dim: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "submersive_fraction": self.submersive_fraction,
-            "theorem_violations": self.theorem_violations,
-            "kernel_dim_histogram": {str(k): v for k, v in sorted(self.kernel_dim_histogram.items())},
-            "min_kernel_dim": self.min_kernel_dim,
-            "max_kernel_dim": self.max_kernel_dim,
-        }
+        histogram = {str(k): v for k, v in sorted(self.kernel_dim_histogram.items())}
+        return {**vars(self), "kernel_dim_histogram": histogram}
 
 
 def check_sweep_args(n: int, samples: int, seed: int) -> None:

@@ -39,16 +39,13 @@ class WeightedSpace:
         require_nonzero(u)
         return cls(weights=to_doubly_stochastic(u))
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
+    def inner(self, f: np.ndarray, g: np.ndarray) -> complex | np.ndarray:
+        """<f, g>, or of each pair of f and g stacked along leading axes."""
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        if f.shape != self.weights.shape or g.shape != self.weights.shape:
+        if f.shape[-2:] != self.weights.shape or g.shape[-2:] != self.weights.shape:
             raise ValueError(f"shapes {f.shape}, {g.shape} vs weights {self.weights.shape}")
-        return complex(np.sum(f * np.conj(g) * self.weights))
+        return np.sum(f * np.conj(g) * self.weights, axis=(-2, -1))
 
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(f, f).real, 0.0)))
@@ -115,8 +112,8 @@ def berezin_from_composition(u: Unitary) -> np.ndarray:
     return BerezinTransform(u).apply(units).reshape(n * n, n * n).T
 
 
-def e_subspace_basis(n: int) -> list[np.ndarray]:
-    """A basis of the (2n-1)-dimensional space of symbols a_k + b_l.
+def e_subspace_basis(n: int) -> np.ndarray:
+    """A basis of the symbols a_k + b_l, as one (2n-1, n, n) array.
 
     Row indicators for k = 0..n-1 plus column indicators for l = 1..n-1;
     column 0 is dropped because the all-ones function is already in the
@@ -124,13 +121,8 @@ def e_subspace_basis(n: int) -> list[np.ndarray]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    basis = []
-    for k in range(n):
-        f = np.zeros((n, n), dtype=complex)
-        f[k, :] = 1.0
-        basis.append(f)
-    for l in range(1, n):
-        f = np.zeros((n, n), dtype=complex)
-        f[:, l] = 1.0
-        basis.append(f)
+    basis = np.zeros((2 * n - 1, n, n), dtype=complex)
+    k, l = np.arange(n), np.arange(1, n)
+    basis[k, k, :] = 1.0
+    basis[n - 1 + l, :, l] = 1.0
     return basis

@@ -1,6 +1,7 @@
 import cmath
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
-from berezin_lab import cli, spectral, submersion
+from berezin_lab import cli, matrices, spectral, submersion
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symbols import WeightedSpace, c_symbol_to_operator, d_symbol_to_operator
@@ -241,6 +242,22 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert csv_path.read_text() == earlier
 
+    def test_skipped_sample_row(self, tmp_path, monkeypatch, capsys):
+        ginibre = matrices._ginibre
+
+        def sample_4_triangular(n, seed):
+            # QR of a triangular matrix is diagonal: entries exactly zero
+            z = ginibre(n, seed)
+            return np.triu(z) if seed == [3, 4] else z
+
+        monkeypatch.setattr(matrices, "_ginibre", sample_4_triangular)
+        csv_path = tmp_path / "samples.csv"
+        rc = main(["sweep", "--n", "4", "--samples", "6", "--seed", "3",
+                   "--per-sample", str(csv_path)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["skipped"] == 1
+        assert csv_path.read_text().splitlines()[5] == "4,1,,,,,"
+
 
 class TestVerifyAllCommand:
     def test_default_suite_passes(self, capsys):
@@ -342,6 +359,34 @@ def _isometry_rows_by_loop(n, seed):
     return float(dev), float(cdev)
 
 
+class TestRecordFormats:
+    """The keys and columns each command prints, in order."""
+
+    def test_theorem_check_json_keys(self, capsys):
+        assert main(["theorem-check", "--family", "haar", "--n", "3"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "n", "rank", "kernel_dim", "berezin_multiplicity_of_one", "theorem_holds",
+            "is_submersion", "singular_values"]
+
+    def test_sweep_json_keys(self, capsys):
+        assert main(["sweep", "--n", "3", "--samples", "2"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "n", "samples", "skipped", "submersive_fraction", "theorem_violations",
+            "kernel_dim_histogram", "min_kernel_dim", "max_kernel_dim"]
+
+    def test_per_sample_csv_header(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        assert main(["sweep", "--n", "3", "--samples", "2", "--per-sample", str(csv_path)]) == 0
+        assert csv_path.read_text().splitlines()[0] == (
+            "sample,skipped,rank,kernel_dim,berezin_multiplicity_of_one,"
+            "theorem_holds,is_submersion")
+
+    def test_verify_all_json_row_keys(self, capsys):
+        assert main(["verify-all", "--n", "3", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert all(list(r) == ["check", "n", "deviation", "limit", "status"] for r in rows)
+
+
 class TestSizeCap:
     """An n whose stacks pass MAX_STACK_BYTES is a usage error, refused
     before anything is built; the cap is lowered here so that n = 5 is
@@ -380,6 +425,29 @@ class TestSizeCap:
         csv_path.write_text("earlier rows\n")
         assert main(["sweep", "--n", "5", "--per-sample", str(csv_path)]) == 1
         assert csv_path.read_text() == "earlier rows\n"
+
+
+def _size_cap_comment() -> str:
+    """The comment block above STACK_BYTES_PER_N4 in cli.py."""
+    lines = pathlib.Path(cli.__file__).read_text().splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("STACK_BYTES_PER_N4"))
+    start = end
+    while lines[start - 1].startswith("#"):
+        start -= 1
+    return " ".join(line.lstrip("# ") for line in lines[start:end])
+
+
+def test_docs_state_the_size_charges_and_caps():
+    """The README and cli.py's size-cap comment quote each command's charge
+    per n^4 and the largest n it allows, as the constants give them."""
+    assert cli.STACK_BYTES_PER_N4["sweep"] == cli.STACK_BYTES_PER_N4["theorem-check"]
+    charges = [cli.STACK_BYTES_PER_N4[c] for c in ("spectrum", "theorem-check", "verify-all")]
+    largest = [max(n for n in range(1, 1000) if charge * n**4 <= cli.MAX_STACK_BYTES)
+               for charge in charges]
+    stated = [f"{charge} n^4" for charge in charges] + ["n above {}, {} and {}".format(*largest)]
+    readme = (pathlib.Path(berezin_lab.__file__).parents[2] / "README.md").read_text()
+    for text in (" ".join(readme.split()), " ".join(_size_cap_comment().split())):
+        assert [s for s in stated if s not in text] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,10 +51,22 @@ class TestWeightedInner:
         )
         assert abs(space.inner(f, g) - expected) < 1e-14
 
+    def test_stacks_give_each_pair(self):
+        space = WeightedSpace.from_unitary(haar_random_unitary(3, seed=3))
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 2, 5, 3, 3))
+        f, g = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        stacked = space.inner(f, g)
+        assert stacked.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            assert abs(stacked[idx] - space.inner(f[idx], g[idx])) < 1e-14
+
     def test_dimension_mismatch(self):
         space = WeightedSpace.from_unitary(haar_random_unitary(3, seed=2))
         with pytest.raises(ValueError, match="vs weights"):
             space.inner(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="vs weights"):
+            space.inner(np.ones((4, 3, 2)), np.ones((4, 3, 2)))
 
 
 class TestSymbolToOperator:
