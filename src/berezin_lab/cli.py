@@ -217,7 +217,13 @@ def _load_input_matrix(args) -> Unitary:
     if source == "matrix-file":
         m = load_matrix(args.matrix_file)
         _require_size(args.command, len(m))
-        return validate_unitary(m, tol=_input_flag(args, "tol"))
+        validate_unitary(m, tol=_input_flag(args, "tol"))
+        # rank the nearest unitary, the polar factor: a unitarity defect of
+        # up to --tol would move the Jacobian's n - 1 zero right-phase
+        # singular values and S's eigenvalues at 1 by about as much, up to
+        # the rank threshold
+        w, _, vh = np.linalg.svd(m)
+        return validate_unitary(w @ vh)
     n = _input_flag(args, "n")
     if source == "fourier":
         return fourier_matrix(n)
@@ -340,7 +346,7 @@ def _verify_checks(n, theta, tol, seed):
 
 def cmd_verify_all(args) -> int:
     n = args.n
-    theta = check_theta(parse_theta(args.theta), n)
+    theta = check_theta(parse_theta(args.theta))
     rows = [{"check": name, "n": n, "deviation": dev, "limit": lim,
              "status": "pass" if dev <= lim else "FAIL"}
             for name, dev, lim in _verify_checks(n, theta, args.tol_override, args.seed)]
@@ -348,10 +354,10 @@ def cmd_verify_all(args) -> int:
     if args.format == "json":
         _emit(_json(rows), args.output)
     else:
-        width = max(len(r["check"]) for r in rows)
-        lines = [f"{'check':<{width}}  n  max deviation   limit        status"]
+        width, n_width = max(len(r["check"]) for r in rows), len(str(n))
+        lines = [f"{'check':<{width}}  {'n':<{n_width}}  max deviation   limit        status"]
         for r in rows:
-            lines.append(f"{r['check']:<{width}}  {r['n']}  {r['deviation']:<14.3e}  "
+            lines.append(f"{r['check']:<{width}}  {r['n']:<{n_width}}  {r['deviation']:<14.3e}  "
                          f"{r['limit']:<11.1e}  {r['status']}")
         _emit("\n".join(lines), args.output)
     return EXIT_OK if all(r["status"] == "pass" for r in rows) else EXIT_INVARIANT

@@ -25,8 +25,9 @@ import numpy as np
 
 from .matrices import Unitary, require_nonzero
 
-KERNEL_RANK_TOL = 1e-8  # scaled by n before use
-CLUSTER_TOL = 1e-8  # eigenvalues closer than this to a cluster's mean join it
+# eigenvalues closer than this to a cluster's mean join it, and singular
+# values below it count toward a kernel
+CLUSTER_TOL = 1e-8
 RUN_GAP = 1e-6  # eigenvalues of the first pencil closer than this form one run
 RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
 # the angles phi of the pencils Y + tan(phi) (I - X) that count the
@@ -43,12 +44,12 @@ class InvariantViolation(Exception):
     """A construction broke one of its own invariants (exit 2)."""
 
 
-def kernel_dim(singular_values: np.ndarray, n: int):
+def kernel_dim(singular_values: np.ndarray):
     """The rank rule both pipelines share: singular values (or moduli of
     pencil eigenvalues, or distances |lambda - 1| of eigenvalues of S) below
-    KERNEL_RANK_TOL * n count toward the kernel.  An int, or a list of ints
-    for a stack of rows."""
-    return np.sum(singular_values < KERNEL_RANK_TOL * n, axis=-1).tolist()
+    CLUSTER_TOL count toward the kernel, whatever n.  An int, or a list of
+    ints for a stack of rows."""
+    return np.sum(singular_values < CLUSTER_TOL, axis=-1).tolist()
 
 
 def standardized_matrix(m: np.ndarray) -> np.ndarray:
@@ -148,7 +149,7 @@ def _pencil(s: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
 
 
 def _multiplicity(s: np.ndarray):
-    """The number of eigenvalues of S within KERNEL_RANK_TOL * n of 1, for S
+    """The number of eigenvalues of S within CLUSTER_TOL of 1, for S
     or each S of a stack (a list), from eigvalsh alone: the first pencil's
     count where it is 2n - 1, else the smaller of the two pencils' counts.
 
@@ -162,12 +163,12 @@ def _multiplicity(s: np.ndarray):
     n = math.isqrt(s.shape[-1])
     buf = np.empty(s.shape)
     mu = np.linalg.eigvalsh(_pencil(s, PENCIL_ANGLES[0], buf))
-    counts = np.asarray(kernel_dim(np.abs(mu), n))
+    counts = np.asarray(kernel_dim(np.abs(mu)))
     # the second pencil runs on each other S alone, in its own slice of the
     # buffer
     for i in map(tuple, np.argwhere(counts != 2 * n - 1)):
         mu = np.linalg.eigvalsh(_pencil(s[i], PENCIL_ANGLES[1], buf[i]))
-        counts[i] = min(counts[i], kernel_dim(np.abs(mu), n))
+        counts[i] = min(counts[i], kernel_dim(np.abs(mu)))
     return counts.tolist()
 
 
@@ -209,11 +210,11 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
 def spectrum(u: Unitary) -> SpectralSummary:
     """All n^2 eigenvalues of the Berezin transform of u, clustered, and the
     multiplicity of 1 counted from them by the rank rule, |lambda - 1| below
-    KERNEL_RANK_TOL * n.  The count is authoritative; the cluster at 1
-    checks it (it can merge values that drift near 1)."""
+    CLUSTER_TOL.  The count is authoritative; the cluster at 1 checks it
+    (it can merge values that drift near 1)."""
     require_nonzero(u)
     eigenvalues = _eigenvalues(standardized_matrix(u.matrix))
-    kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0), u.n)
+    kernel_method_dim = kernel_dim(np.abs(eigenvalues - 1.0))
 
     clusters, cluster_ids = cluster_eigenvalues(eigenvalues)
     dist_to_one = [abs(rep - 1.0) for rep, _ in clusters]

@@ -10,17 +10,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
-from .spectral import eigenvalue_multiplicities, kernel_dim
+from .spectral import CLUSTER_TOL, eigenvalue_multiplicities, kernel_dim
 
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
-# tracemalloc measures it at n = 12 to 20 (29.7 at n = 12, 24.2 at n = 16
-# and 20): the Berezin side's complex S (16 n^4), the real buffer of the
-# pencils (8 n^4) and smaller arrays.  The Jacobian side holds its real
-# Jacobian (8 n^4), freed before the Berezin side runs.  A sweep chunk and
-# the CLI's size cap of theorem-check and sweep both charge this.
+# tracemalloc measures it at n = 12 to 20 (29.5 at n = 12, 24.2 at n = 16
+# and 20, certified or not): the Berezin side's complex S (16 n^4), the real
+# buffer of the pencils (8 n^4) and smaller arrays.  The Jacobian side peaks
+# at 16.3 to 16.5 n^4, two of the certificate's Jacobian, A, Gram matrix
+# and factor at a time, or at 8 n^4 for the Jacobian of the SVD, and frees
+# them before the Berezin side runs.  A sweep chunk and the CLI's size cap
+# of theorem-check and sweep both charge this.
 SAMPLE_BYTES_PER_N4 = 30
 # Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
+_UNIT_ROUNDOFF = 2.0**-53  # of float64
 
 
 def _chunk_size(n: int) -> int:
@@ -68,7 +71,9 @@ def _skew_hermitian(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class JacobianReport:
-    """One theorem verdict; its fields, in order, are its JSON keys."""
+    """One theorem verdict; its fields, in order, are its JSON keys.
+    certified tells whether the Cholesky certificate gave the count; the
+    singular values are listed only where the SVD gave it."""
 
     n: int
     rank: int
@@ -76,18 +81,21 @@ class JacobianReport:
     berezin_multiplicity_of_one: int
     theorem_holds: bool
     is_submersion: bool
-    singular_values: np.ndarray
+    certified: bool
+    singular_values: np.ndarray | None
 
     def to_dict(self) -> dict:
-        return {**vars(self), "singular_values": [float(s) for s in self.singular_values]}
+        values = self.singular_values
+        return {**vars(self), "singular_values": None if values is None else values.tolist()}
 
 
 def jacobian_report(u: Unitary) -> JacobianReport:
     """Assemble the real n^2 x n^2 Jacobian of the squared-modulus map at u
     (columns indexed by the orthonormal skew-Hermitian basis, row (k, l)
-    divided by |u_kl|), rank it by SVD, and compare its kernel dimension
-    with the Berezin multiplicity of 1 computed by the entirely independent
-    spectral pipeline.  A sweep runs the same code on a stack of samples."""
+    divided by |u_kl|), rank it, by the Cholesky certificate or else by
+    SVD, and compare its kernel dimension with the Berezin multiplicity of
+    1 computed by the entirely independent spectral pipeline.  A sweep runs
+    the same code on a stack of samples."""
     require_nonzero(u)
     return _jacobian_reports(u.matrix[np.newaxis])[0]
 
@@ -119,10 +127,80 @@ def _jacobians(m: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _right_phases(m: np.ndarray) -> np.ndarray:
+    """The right phases u -> u exp(i t E_bb), b < n - 1, as tangent vectors
+    X_b = u (i E_bb) u* in the coordinates of the off-diagonal pairs, a
+    (samples, n^2 - n, n - 1) stack: the pair (i, j) holds
+    sqrt(2) (Re, Im)(i u_ib conj(u_jb)).  The Jacobian vanishes on them,
+    and on the diagonal directions; the n-th phase is the sum of these
+    and a diagonal direction."""
+    n = m.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    x = 1j * math.sqrt(2.0) * m[:, i, :-1] * np.conj(m[:, j, :-1])
+    return np.stack([x.real, x.imag], axis=2).reshape(len(m), n * (n - 1), n - 1)
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _certify(m: np.ndarray) -> np.ndarray:
+    """For each unitary of a (samples, n, n) stack whose entries are all
+    nonzero: whether its Jacobian J provably has 2n - 1 singular values
+    below CLUSTER_TOL and the rest at or above it, without an SVD.
+
+    A is J without its n zero columns, J', with the rows Q^T appended, Q
+    an orthonormal basis of the right phases.  Cholesky of A^T A - c I
+    succeeding proves sigma_min(A) >= CLUSTER_TOL (shift below); every
+    n-dimensional subspace meets ker Q^T, where |J' x| = |A x|, so J' has
+    at most n - 1 singular values below CLUSTER_TOL.  ||J' Q||_F below
+    CLUSTER_TOL gives it n - 1 of them, and J has n zero columns more:
+    exactly 2n - 1, the count the SVD makes to within its rounding.
+
+    The shift, for the order p = n^2 - n of G = fl(A^T A) and the length
+    k = n^2 + n - 1 of its inner products, is
+        c = 2 (gamma_{p+1} / (1 - gamma_{p+1}) + gamma_k / (1 - gamma_k) + u) tr G
+            + CLUSTER_TOL^2.
+    Cholesky of fl(G - c I) runs to completion only if that matrix has no
+    eigenvalue below -gamma_{p+1} / (1 - gamma_{p+1}) tr G (Rump, BIT 46,
+    2006, from the backward error gamma_{p+1} |R^T| |R| of a Cholesky
+    factor R); the subtraction rounds the diagonal by at most u tr G;
+    forming G errs by at most gamma_k || |A| ||_2^2 <= gamma_k tr(A^T A),
+    under gamma_k / (1 - gamma_k) tr G.  The factor 2 covers Rump's
+    underflow term, under 1e-300 here, and the rounding in tr G and in c
+    itself, relative and under 1e-13."""
+    count, n = len(m), m.shape[-1]
+    p, k = n * (n - 1), n * n + n - 1
+    q = np.linalg.qr(_right_phases(m))[0]
+    a = np.concatenate([_jacobians(m)[..., n:], np.swapaxes(q, -1, -2)], axis=-2)
+    residual = np.linalg.norm(a[:, :n * n] @ q, axis=(-2, -1))
+    gram = np.swapaxes(a, -1, -2) @ a
+    del a  # before the factor is allocated
+    rump, forming = _gamma(p + 1), _gamma(k)
+    coefficient = 2.0 * (rump / (1.0 - rump) + forming / (1.0 - forming) + _UNIT_ROUNDOFF)
+    diag = np.arange(p)
+    gram[:, diag, diag] -= (coefficient * np.trace(gram, axis1=-2, axis2=-1)
+                            + CLUSTER_TOL**2)[:, np.newaxis]
+    factored = np.ones(count, dtype=bool)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        # a stack fails as a whole: factor each sample on its own
+        for s in range(count):
+            try:
+                np.linalg.cholesky(gram[s])
+            except np.linalg.LinAlgError:
+                factored[s] = False
+    return factored & (residual < CLUSTER_TOL)
+
+
 def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
     """jacobian_report for each unitary of a (samples, n, n) stack whose
-    entries are all nonzero, with one batched Jacobian SVD and, on the
-    Berezin side, one call of eigenvalue_multiplicities on the whole stack.
+    entries are all nonzero.  The Jacobian side runs one batched Cholesky
+    certificate and, on the samples it does not certify, one batched SVD;
+    the Berezin side, one call of eigenvalue_multiplicities on the whole
+    stack.
 
     Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
     differential of 2|u| in place of |u|^2: the kernel is the same since
@@ -131,19 +209,26 @@ def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
     Unscaled, they shrink by up to min|u_kl| and fall below the rank
     threshold while the Berezin side's stay above it."""
     n = m.shape[-1]
-    # the Jacobians are freed before the Berezin side's stacks are built
-    sv = np.linalg.svd(_jacobians(m), compute_uv=False)
+    # the certificate's and the Jacobians' stacks are freed before the
+    # Berezin side's are built
+    values = [None] * len(m)
+    fallback = np.flatnonzero(~_certify(m))
+    if len(fallback):
+        for i, sv in zip(fallback, np.linalg.svd(_jacobians(m[fallback]), compute_uv=False)):
+            values[i] = sv
     reports = []
-    for values, kernel, mult in zip(sv, kernel_dim(sv, n), eigenvalue_multiplicities(m)):
+    for sv, mult in zip(values, eigenvalue_multiplicities(m)):
+        kernel = 2 * n - 1 if sv is None else kernel_dim(sv)
         rank = n * n - kernel
         reports.append(JacobianReport(
             n=n,
-            singular_values=values,
             rank=rank,
             kernel_dim=kernel,
             berezin_multiplicity_of_one=mult,
             theorem_holds=(kernel == mult),
             is_submersion=(rank == (n - 1) ** 2),
+            certified=sv is None,
+            singular_values=sv,
         ))
     return reports
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matrices import Unitary, validate_unitary
-from .spectral import (CLUSTER_TOL, KERNEL_RANK_TOL, InvariantViolation,
-                       cluster_eigenvalues, spectrum)
+from .spectral import CLUSTER_TOL, InvariantViolation, cluster_eigenvalues, spectrum
 from .symbols import (
     BerezinTransform,
     WeightedSpace,
@@ -34,14 +33,14 @@ def fourier_matrix(n: int) -> Unitary:
     return validate_unitary(unit_root(n, np.outer(k, k)) / np.sqrt(n), tol=1e-12)
 
 
-def check_theta(theta: complex, n: int) -> complex:
+def check_theta(theta: complex) -> complex:
     """theta, checked to lie on the unit circle and at least twice the rank
-    threshold KERNEL_RANK_TOL * n from +-1: nearer, the size-n family's
+    threshold CLUSTER_TOL from +-1, at every n: nearer, the family's
     eigenvalue conj(theta) or -conj(theta) would count as 1."""
     theta = complex(theta)
     if not abs(abs(theta) - 1.0) <= 1e-8:  # also rejects nan
         raise ValueError(f"|theta| must equal 1, got {abs(theta):.6f}")
-    if min(abs(theta - 1.0), abs(theta + 1.0)) < 2 * KERNEL_RANK_TOL * n:
+    if min(abs(theta - 1.0), abs(theta + 1.0)) < 2 * CLUSTER_TOL:
         raise ValueError("theta must stay away from +-1")
     return theta
 
@@ -49,7 +48,7 @@ def check_theta(theta: complex, n: int) -> complex:
 def symmetric_family_matrix(n: int, theta: complex) -> Unitary:
     """u = Id + (theta - 1)/n: identity off the constants, phase theta on
     them.  Commutes with every permutation matrix and has no zero entries."""
-    theta = check_theta(theta, n)
+    theta = check_theta(theta)
     m = np.eye(n, dtype=complex) + (theta - 1.0) / n
     return validate_unitary(m)
 
@@ -236,7 +235,7 @@ def isotypic_clusters(b: BerezinTransform) -> list[tuple[complex, int]]:
 def predicted_clusters(n: int, theta: complex) -> list[tuple[complex, int]]:
     """The five eigenvalue clusters of the symmetric family's Berezin
     transform with their multiplicities (some may be empty for small n)."""
-    theta = check_theta(theta, n)
+    theta = check_theta(theta)
     tb = np.conj(theta)
     denom = theta + n - 1
     return [

@@ -35,10 +35,13 @@ def test_every_bench_op_passes_its_oracle(tmp_path, capsys):
 
 def test_check_n16_seeds_that_once_failed_pass_their_oracle(capsys):
     # small entries once pushed a Jacobian singular value under the rank
-    # threshold: kernel 32 against a Berezin count of 31; the last three
+    # threshold: kernel 32 against a Berezin count of 31; the next three
     # have an eigenvalue within 1.4e-5 of the first pencil's spurious
-    # point, and their count of 2n - 1 = 31 still comes from one solve
-    for seed in ("1704520880", "672160505", "244737784", "2138", "2502", "3717"):
+    # point, and their count of 2n - 1 = 31 still comes from one solve; the
+    # last two have a (2n)-th singular value of 6.4e-8 and 5.1e-8, which
+    # the old threshold 1e-8 n counted on both sides as a kernel of 32
+    for seed in ("1704520880", "672160505", "244737784", "2138", "2502", "3717",
+                 "19382", "1015938624"):
         capsys.readouterr()
         rc = berezin_lab.cli.main(["theorem-check", "--family", "haar", "--n", "16",
                                    "--seed", seed])

@@ -15,7 +15,7 @@ from berezin_lab import (
     symmetric_family_matrix,
 )
 from berezin_lab import symmetry
-from berezin_lab.spectral import KERNEL_RANK_TOL, cluster_eigenvalues, eigenvalue_multiplicities
+from berezin_lab.spectral import CLUSTER_TOL, cluster_eigenvalues, eigenvalue_multiplicities
 from berezin_lab.symmetry import (
     all_shifts,
     check_permutation_equivariance,
@@ -154,11 +154,13 @@ def _equivariance_by_loop(n, theta, trials, seed):
 @pytest.mark.parametrize("n", [1, 3, 16])
 @pytest.mark.parametrize("side", [1.0, -1.0])
 def test_theta_guard_is_twice_the_rank_threshold(n, side):
-    # the nearest of conj(theta), -conj(theta) to 1 is |theta -+ 1| away
-    tau = KERNEL_RANK_TOL * n
+    # the nearest of conj(theta), -conj(theta) to 1 is |theta -+ 1| away;
+    # the guard, like the rank threshold, is the same at every n
+    tau = CLUSTER_TOL
     with pytest.raises(ValueError, match="theta must stay away from"):
-        check_theta(side * np.exp(1.99j * tau), n)
-    assert check_theta(side * np.exp(2.01j * tau), n) == side * np.exp(2.01j * tau)
+        symmetric_family_matrix(n, side * np.exp(1.99j * tau))
+    assert check_theta(side * np.exp(2.01j * tau)) == side * np.exp(2.01j * tau)
+    assert symmetric_family_matrix(n, side * np.exp(2.01j * tau)).n == n
 
 
 class TestShiftCommutation:
