@@ -13,14 +13,18 @@ from .matrices import Unitary, haar_unitary_stack, require_nonzero
 from .spectral import CLUSTER_TOL, eigenvalue_multiplicities, kernel_dim
 
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
-# tracemalloc measures it at n = 12 to 20 (29.5 at n = 12, 24.2 at n = 16
-# and 20, certified or not): the Berezin side's complex S (16 n^4), the real
-# buffer of the pencils (8 n^4) and smaller arrays.  The Jacobian side peaks
-# at 16.3 to 16.5 n^4, two of the certificate's Jacobian, A, Gram matrix
-# and factor at a time, or at 8 n^4 for the Jacobian of the SVD, and frees
-# them before the Berezin side runs.  A sweep chunk and the CLI's size cap
-# of theorem-check and sweep both charge this.
-SAMPLE_BYTES_PER_N4 = 30
+# tracemalloc measures it at n = 12 to 20.  A sample whose pencil does not
+# count 2n - 1 takes its count from the eigenvalues of its S, as spectrum
+# does, and peaks with spectrum (43.7, 41.3 and 40.6 at n = 12, 16 and 20):
+# S (16 n^4) beside the pencil and its eigenvectors, then beside Y, Y Q and
+# the eigenvectors.  Any other sample peaks at 29.6, 24.2 and 24.1: S and
+# the real buffer of the pencil (8 n^4), freed before any count from the
+# eigenvalues.  The Jacobian side peaks at 16.3 to 16.5 n^4, two of the
+# certificate's Jacobian, A, Gram matrix and factor at a time, or at 8 n^4
+# for the Jacobian of the SVD, and frees them before the Berezin side runs.
+# A sweep chunk and the CLI's size cap of theorem-check and sweep both
+# charge this.
+SAMPLE_BYTES_PER_N4 = 44
 # Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
 _UNIT_ROUNDOFF = 2.0**-53  # of float64

@@ -270,5 +270,5 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     computed, *derived = (np.bincount(g, minlength=len(clusters)) for g in ids.reshape(3, n * n))
     return bool(
         all(np.array_equal(computed, counts) for counts in derived)
-        and summary.kernel_method_dim == 2 * n - 1
+        and summary.multiplicity_of_one == 2 * n - 1
     )

@@ -104,7 +104,7 @@ def test_criterion_4_fourier_spectrum():
     for n in range(2, 9):
         expected_counts[n] = invariant_pair_count(n)  # enumeration oracle
         s = spectrum(fourier_matrix(n))
-        observed[n] = s.kernel_method_dim
+        observed[n] = s.multiplicity_of_one
         want = sorted(
             [complex(unit_root(n, (r * c) % n)) for r in range(n) for c in range(n)],
             key=lambda z: (round(z.real, 9), round(z.imag, 9)),

@@ -36,7 +36,7 @@ def test_every_bench_op_passes_its_oracle(tmp_path, capsys):
 def test_check_n16_seeds_that_once_failed_pass_their_oracle(capsys):
     # small entries once pushed a Jacobian singular value under the rank
     # threshold: kernel 32 against a Berezin count of 31; the next three
-    # have an eigenvalue within 1.4e-5 of the first pencil's spurious
+    # have an eigenvalue within 1.4e-5 of the pencil's spurious
     # point, and their count of 2n - 1 = 31 still comes from one solve; the
     # last two have a (2n)-th singular value of 6.4e-8 and 5.1e-8, which
     # the old threshold 1e-8 n counted on both sides as a kernel of 32

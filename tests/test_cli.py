@@ -15,6 +15,7 @@ from berezin_lab import cli, matrices, spectral, submersion
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symbols import WeightedSpace, c_symbol_to_operator, d_symbol_to_operator
+from test_spectral import fourier_product, perturbed
 
 # a nan or infinite theta is a usage error, not a non-unitary matrix
 NON_FINITE_THETAS = ["nan,0", "angle:nan", "angle:inf", "1,nan"]
@@ -408,8 +409,8 @@ class TestSizeCap:
         pytest.param(argv, charge, id=" ".join(argv)) for argv, charge in [
             (["spectrum", "--family", "haar"], 44 * 5**4),
             (["spectrum", "--family", "fourier"], 44 * 5**4),
-            (["theorem-check", "--family", "example2"], 30 * 5**4),
-            (["sweep", "--samples", "2"], 30 * 5**4),
+            (["theorem-check", "--family", "example2"], 44 * 5**4),
+            (["sweep", "--samples", "2"], 44 * 5**4),
             (["verify-all"], 64 * 5**4),
         ]])
     def test_past_cap_refused(self, argv, charge, capsys):
@@ -464,7 +465,7 @@ def test_docs_state_the_size_charges_and_caps():
     ["spectrum", "--family", "example2", "--theta", "angle:-1", "--format", "text"],
     ["theorem-check", "--family", "haar"],
     ["theorem-check", "--family", "example2", "--theta", "angle:-1"],
-    # one sample per chunk, as every sweep has past n = 18
+    # one sample per chunk, as every sweep has past n = 17
     ["sweep", "--samples", "1"],
     ["verify-all"],
 ], ids=" ".join)
@@ -633,12 +634,12 @@ def test_tolerance_must_be_positive_and_finite(argv, capsys):
 def test_spectrum_check_exits_2_with_the_summary(monkeypatch, capsys):
     # a summary that fails its own check is still printed, for inspection
     summary = spectral.spectrum(berezin_lab.fourier_matrix(3))
-    summary.kernel_method_dim += 1
+    summary.eigenvalues[0] *= 1 + 1e-7
     monkeypatch.setattr(cli, "spectrum", lambda u: summary)
     assert main(["spectrum", "--family", "fourier", "--n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == cli._json(summary.to_dict()) + "\n"
-    assert captured.err.startswith("invariant violation: clustering gives multiplicity")
+    assert captured.err == "invariant violation: eigenvalue off the unit circle beyond 1e-8\n"
 
 
 def test_f4_cayley_point_counts_its_exact_kernel(tmp_path, capsys):
@@ -659,6 +660,31 @@ def test_f4_cayley_point_counts_its_exact_kernel(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["kernel_dim"], out["berezin_multiplicity_of_one"]) == (7, 7)
     assert sorted(out["singular_values"])[7] == pytest.approx(2.07e-8, rel=1e-2)
+
+
+@pytest.mark.parametrize("orders, eps, kernel", [
+    ((8,), 3e-5, 18), ((2, 2, 2), 2e-8, 18), ((6,), 3e-9, 13),
+], ids=["F8 eps=3e-05", "F2^3 eps=2e-08", "F6 eps=3e-09"])
+def test_perturbed_fourier_file_counts_its_cluster_at_one(orders, eps, kernel, tmp_path, capsys):
+    """exp(eps X) F for a Fourier product F, as near-degenerate as
+    tests/test_spectral.py's perturbed: greedy clustering at the rank
+    threshold once put one more value in the cluster at 1 than the count
+    took, and spectrum exited 2 where theorem-check passed."""
+    path = str(tmp_path / "perturbed.json")
+    save_matrix(path, perturbed(fourier_product(*orders), eps).matrix)
+    assert main(["theorem-check", "--matrix-file", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kernel_dim"], out["berezin_multiplicity_of_one"]) == (kernel, kernel)
+    assert main(["spectrum", "--matrix-file", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["multiplicity_of_one"] == out["kernel_method_dim"] == kernel
+    assert main(["spectrum", "--matrix-file", path, "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    at_one = [abs(complex(float(re_), float(im)) - 1) < spectral.CLUSTER_TOL
+              for re_, im, _, _ in rows]
+    ids = [cid for (*_, cid), one in zip(rows, at_one) if one]
+    assert len(ids) == kernel and len(set(ids)) == 1
+    assert [cid for *_, cid in rows].count(ids[0]) == kernel
 
 
 @pytest.mark.parametrize("n, seed, eps", [(4, 0, 2.1e-9), (4, 29, 1e-9), (16, 18, 8e-10)])

@@ -15,7 +15,8 @@ from berezin_lab import (
 )
 from berezin_lab import spectral, submersion, symmetry
 from berezin_lab.spectral import (
-    PENCIL_ANGLES,
+    CLUSTER_TOL,
+    PENCIL_ANGLE,
     cluster_eigenvalues,
     eigenvalue_multiplicities,
     standardized_matrix,
@@ -38,7 +39,7 @@ def berezin_and_space(u):
 class TestSpectrum:
     def test_n1_single_eigenvalue_one(self):
         s = spectrum(haar_random_unitary(1, seed=0))
-        assert s.multiplicity_of_one == 1 and s.kernel_method_dim == 1
+        assert s.multiplicity_of_one == 1
         np.testing.assert_allclose(s.eigenvalues, [1.0], atol=1e-12)
 
     def test_fourier_n2(self):
@@ -167,7 +168,7 @@ class TestSymmetricFamilyTable:
     @pytest.mark.parametrize("theta", [1j, np.exp(2.3j)])
     def test_multiplicity_of_one_is_always_2n_minus_1(self, n, theta):
         s = spectrum(symmetric_family_matrix(n, theta))
-        assert s.multiplicity_of_one == s.kernel_method_dim == 2 * n - 1
+        assert s.multiplicity_of_one == 2 * n - 1
         assert verify_symmetric_family_spectrum(n, theta) is True
 
     @pytest.mark.parametrize("n", [3, 4, 12])
@@ -190,7 +191,7 @@ class TestSymmetricFamilyTable:
 
     def test_kernel_count_enters_verdict(self, monkeypatch):
         def add_one(summary):
-            summary.kernel_method_dim += 1
+            summary.multiplicity_of_one += 1
 
         self._patch_spectrum(monkeypatch, add_one)
         assert verify_symmetric_family_spectrum(3, 1j) is False
@@ -277,8 +278,8 @@ STRUCTURED = {
     "F12": lambda: fourier_matrix(12),
     "symmetric8": lambda: symmetric_family_matrix(8, np.exp(0.7j)),
     "symmetric16": lambda: symmetric_family_matrix(16, np.exp(2.1j)),
-    # eigenvalue 1 and the first pencil's spurious point share its zero:
-    # the run solve and the second pencil in one spectrum
+    # eigenvalue 1 and the pencil's spurious point share its zero: the run
+    # solve in one spectrum
     "symmetric8 theta=e^-i": lambda: symmetric_family_matrix(8, np.exp(-1j)),
     "F2^3": lambda: f2_cubed_perturbed(0.0),
     **{f"F2^3 eps={eps:g}": (lambda eps=eps: f2_cubed_perturbed(eps))
@@ -381,8 +382,9 @@ class TestJacobianOnTheScaleOfS:
 
 
 class TestPencilCount:
-    """The multiplicity of 1 from the two real symmetric pencils equals the
-    count of small singular values of S - I."""
+    """The multiplicity of 1 from the pencil, or from the eigenvalues where
+    the pencil does not count 2n - 1, equals the count of small singular
+    values of S - I."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
@@ -407,13 +409,12 @@ class TestPencilCount:
     @pytest.mark.parametrize("orders", [(2, 2, 2), (4,), (6,)], ids=str)
     def test_epsilon_scan(self, orders, eps):
         u = perturbed(fourier_product(*orders), eps)
-        assert eigenvalue_multiplicities(u.matrix) == svd_count(u)
+        assert eigenvalue_multiplicities(u.matrix) == spectrum(u).multiplicity_of_one == svd_count(u)
 
-    @pytest.mark.parametrize("k", range(len(PENCIL_ANGLES)))
-    def test_eigenvalues_at_a_spurious_point(self, k):
-        # the pencil at PENCIL_ANGLES[k] vanishes on the 3 eigenvectors of
-        # -e^{2 i phi_k} as on the 5 of 1; the other pencil does not
-        spurious = -np.exp(2j * PENCIL_ANGLES[k])
+    def test_eigenvalues_at_a_spurious_point(self):
+        # the pencil vanishes on the 3 eigenvectors of -e^{2 i phi} as on
+        # the 5 of 1; the eigenvalues of S tell them apart
+        spurious = -np.exp(2j * PENCIL_ANGLE)
         rng = np.random.default_rng(17)
         lam = np.concatenate([np.ones(5), np.full(3, spurious),
                               np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
@@ -435,16 +436,17 @@ class TestPencilCount:
 
 
 def first_pencil_count(s):
-    """The first pencil's count of small eigenvalues, for S or each S of a
-    stack, before any second pencil."""
-    mu = np.linalg.eigvalsh(spectral._pencil(s, PENCIL_ANGLES[0], np.empty(s.shape)))
+    """The pencil's count of small eigenvalues, for S or each S of a stack,
+    before any count from the eigenvalues."""
+    mu = np.linalg.eigvalsh(spectral._pencil(s))
     return spectral.kernel_dim(np.abs(mu))
 
 
 class TestCertificate:
     """The 2n - 1 sum symbols every Berezin transform fixes certify the
     count: one pencil counts the multiplicity of 1 where its count is
-    2n - 1, and the second pencil runs only where it is not."""
+    2n - 1, and the eigenvalues of S, from one eigh, count it only where it
+    is not."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -470,33 +472,34 @@ class TestCertificate:
     def factorizations(self, monkeypatch):
         return self._count(monkeypatch, "cholesky")
 
-    def test_one_solve_for_haar(self, solves, factorizations):
+    def test_one_solve_for_haar(self, solves, eigh_solves, factorizations):
         assert eigenvalue_multiplicities(haar_random_unitary(16, seed=18).matrix) == 31
         assert solves == [(256, 256)]
-        assert factorizations == []
+        assert eigh_solves == factorizations == []
 
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_one_solve_for_fourier(self, n, solves, factorizations):
+    def test_one_solve_for_fourier(self, n, solves, eigh_solves, factorizations):
         # a prime n gives 2n - 1 from one solve; a composite n has more
-        # fixed symbols, and its count takes the second pencil
+        # fixed symbols, and its count takes the eigenvalues of S
         kernel = invariant_pair_count(n)
         assert eigenvalue_multiplicities(fourier_matrix(n).matrix) == kernel
-        assert len(solves) == (1 if kernel == 2 * n - 1 else 2)
+        assert solves == [(n * n, n * n)]
+        assert eigh_solves == ([] if kernel == 2 * n - 1 else [(n * n, n * n)])
         assert factorizations == []
 
     @pytest.mark.parametrize("n", [5, 8])
-    def test_two_solves_with_eigenvalues_at_the_spurious_point(self, n, solves, factorizations):
+    def test_two_solves_with_eigenvalues_at_the_spurious_point(self, n, solves, eigh_solves,
+                                                              factorizations):
         # the symmetric family at theta = e^{-i} has eigenvalues exactly at
-        # the first pencil's spurious point -e^{i}
+        # the pencil's spurious point -e^{i}: one eigvalsh, then one eigh
         assert eigenvalue_multiplicities(symmetric_family_matrix(n, np.exp(-1j)).matrix) == 2 * n - 1
-        assert len(solves) == 2
+        assert solves == eigh_solves == [(n * n, n * n)]
         assert factorizations == []
 
     def test_spectrum_runs_one_eigh_for_haar(self, solves, eigh_solves, factorizations):
-        # the spectrum's eigenvalues and its count come from one solve, and
-        # no second pencil checks the count
+        # the spectrum's eigenvalues and its count come from one solve
         s = spectrum(haar_random_unitary(16, seed=18))
-        assert s.kernel_method_dim == s.multiplicity_of_one == 31
+        assert s.multiplicity_of_one == 31
         assert eigh_solves == [(256, 256)]
         assert solves == factorizations == []
 
@@ -504,16 +507,16 @@ class TestCertificate:
     def test_spectrum_with_eigenvalues_at_the_spurious_point(self, n, solves, eigh_solves,
                                                              factorizations):
         # eigenvalues at the spurious point do not enter a count taken from
-        # the eigenvalues, so no second pencil runs
+        # the eigenvalues, so no eigvalsh runs
         s = spectrum(symmetric_family_matrix(n, np.exp(-1j)))
-        assert s.kernel_method_dim == s.multiplicity_of_one == 2 * n - 1
+        assert s.multiplicity_of_one == 2 * n - 1
         assert eigh_solves == [(n * n, n * n)]
         assert solves == factorizations == []
 
     @pytest.mark.parametrize("seed", [2138, 2502, 3717, 3953])
     def test_uncertified_haar_n16(self, seed, solves, eigh_solves, factorizations):
         # Haar samples at the benchmark's n with an eigenvalue within 1.4e-5
-        # of the first pencil's spurious point, the margin a Cholesky
+        # of the pencil's spurious point, the margin a Cholesky
         # certificate once needed: their count of 2n - 1 = 31 is certified
         # by itself, from one solve
         u = haar_random_unitary(16, seed=seed)
@@ -521,25 +524,26 @@ class TestCertificate:
         assert solves == [(256, 256)]
         solves.clear()
         summary = spectrum(u)
-        assert summary.kernel_method_dim == summary.multiplicity_of_one == 31
+        assert summary.multiplicity_of_one == 31
         assert eigh_solves == [(256, 256)]
         assert solves == factorizations == []
 
-    def test_batched_solve_refactors_only_uncertified(self, solves, factorizations):
+    def test_batched_solve_refactors_only_uncertified(self, solves, eigh_solves, factorizations):
         # one sample in a stack of three counts more than 2n - 1 and runs
-        # one more solve, on that sample alone
+        # one eigh, on that sample alone
         m = np.stack([haar_random_unitary(5, seed=19).matrix,
                       symmetric_family_matrix(5, np.exp(-1j)).matrix,
                       fourier_matrix(5).matrix])
         assert spectral.eigenvalue_multiplicities(m) == [9, 9, 9]
-        assert solves == [(3, 25, 25), (25, 25)]
+        assert solves == [(3, 25, 25)]
+        assert eigh_solves == [(25, 25)]
         assert factorizations == []
 
     @pytest.mark.parametrize("d", [0.0, 1e-7, 1e-5, 2e-5, 1e-3])
     def test_eigenvalue_near_the_spurious_point(self, d):
         # S = Q diag(e^{i theta}) Q^T with 9 eigenvalues at 1 and one at
         # distance d along the circle from the spurious point z
-        z = -np.exp(2j * PENCIL_ANGLES[0])
+        z = -np.exp(2j * PENCIL_ANGLE)
         rng = np.random.default_rng(20)
         lam = np.concatenate([np.ones(9), [z * np.exp(1j * d)],
                               np.exp(1j * rng.uniform(-3.0, 3.0, 54))])
@@ -548,20 +552,22 @@ class TestCertificate:
         oracle = int(np.sum(np.linalg.svd(s - np.eye(64), compute_uv=False) < 1e-8 * 8))
         assert spectral._multiplicity(s) == oracle == 9
 
-    @pytest.mark.parametrize("d, solves_run", [(0.0, 2), (1e-5, 1)])
-    def test_fixed_count_with_an_eigenvalue_near_the_spurious_point(self, d, solves_run, solves):
+    @pytest.mark.parametrize("d, eighs_run", [(0.0, 1), (1e-5, 0)])
+    def test_fixed_count_with_an_eigenvalue_near_the_spurious_point(self, d, eighs_run, solves,
+                                                                    eigh_solves):
         # 2n - 1 = 15 eigenvalues at 1 and one at z e^{id}: at d = 0 the
-        # first pencil counts 16 and the second pencil corrects it; at
-        # d = 1e-5 that eigenvalue's pencil value, about d, is far above
-        # the threshold 8e-8 and the count of 15 stands alone
-        z = -np.exp(2j * PENCIL_ANGLES[0])
+        # pencil counts 16 and the eigenvalues of S correct it; at d = 1e-5
+        # that eigenvalue's pencil value, about d, is far above the
+        # threshold 1e-8 and the count of 15 stands alone
+        z = -np.exp(2j * PENCIL_ANGLE)
         rng = np.random.default_rng(21)
         lam = np.concatenate([np.ones(15), [z * np.exp(1j * d)],
                               np.exp(1j * rng.uniform(-3.0, 3.0, 48))])
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
         s = (q * lam) @ q.T
         assert spectral._multiplicity(s) == 15
-        assert len(solves) == solves_run
+        assert len(solves) == 1
+        assert len(eigh_solves) == eighs_run
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -597,14 +603,14 @@ class TestFirstPencilCountsTheFixedSymbols:
 
 class TestSpectrumCountAgainstPencilCount:
     """spectrum counts the multiplicity of 1 from its own eigenvalues, and
-    eigenvalue_multiplicities from eigvalsh of the pencils: two
-    computations that must give one count."""
+    eigenvalue_multiplicities from eigvalsh of the pencil where that counts
+    2n - 1: both give the count of small singular values of S - I."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
     def test_haar(self, n, seed):
         u = haar_random_unitary(n, seed=seed)
-        assert spectrum(u).kernel_method_dim == eigenvalue_multiplicities(u.matrix)
+        assert spectrum(u).multiplicity_of_one == eigenvalue_multiplicities(u.matrix) == svd_count(u)
 
     @pytest.mark.parametrize("u", [
         *(haar_random_unitary(16, seed=seed) for seed in (18, 2138, 2502, 3717, 3953)),
@@ -612,7 +618,7 @@ class TestSpectrumCountAgainstPencilCount:
     ], ids=["haar16 seed=18", "haar16 seed=2138", "haar16 seed=2502", "haar16 seed=3717",
             "haar16 seed=3953", "symmetric5 theta=e^-i", "symmetric8 theta=e^-i"])
     def test_certificate_cases(self, u):
-        assert spectrum(u).kernel_method_dim == eigenvalue_multiplicities(u.matrix)
+        assert spectrum(u).multiplicity_of_one == eigenvalue_multiplicities(u.matrix) == svd_count(u)
 
 
 class TestEigenvaluesAgainstEigvals:
@@ -627,15 +633,15 @@ class TestEigenvaluesAgainstEigvals:
 
     def test_shared_pencil_value_takes_the_run_solve(self, monkeypatch):
         """Two distinct eigenvalues a + ib with the same b + t (1 - a),
-        t = tan(PENCIL_ANGLES[0]), share one eigenvalue of the first pencil;
+        t = tan(PENCIL_ANGLE), share one eigenvalue of the pencil;
         the columns eigh returns for it mix their eigenvectors, and the
         run's small eigvals recovers both."""
         rng = np.random.default_rng(13)
-        # angles summing to pi + 2 PENCIL_ANGLES[0] give the same
+        # angles summing to pi + 2 PENCIL_ANGLE give the same
         # 2 sin(theta/2) cos(theta/2 - phi) / cos(phi)
         angles = np.array([0.3, 0.3, np.pi + 0.7, 2.9, -1.2, 1.7, 0.8, 2.2])
         lam = np.exp(1j * angles)
-        t = np.tan(PENCIL_ANGLES[0])
+        t = np.tan(PENCIL_ANGLE)
         assert abs((lam[0].imag + t * (1 - lam[0].real)) - (lam[2].imag + t * (1 - lam[2].real))) < 1e-15
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         s = (q * lam) @ q.T
@@ -680,3 +686,41 @@ class TestClusterEigenvalues:
         below = cluster_eigenvalues(np.array([1, complex(-1, -im)]))
         np.testing.assert_allclose([rep for rep, _ in above[0]], [rep for rep, _ in below[0]])
         assert above[1].tolist() == below[1].tolist()
+
+
+class TestClusterAtOne:
+    """The values the rank rule counts at 1, |lambda - 1| < CLUSTER_TOL,
+    form one cluster, so its size is the multiplicity of 1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near=st.lists(st.tuples(st.floats(0.0, 3 * CLUSTER_TOL, exclude_min=True,
+                                             exclude_max=True), st.booleans()),
+                         min_size=1, max_size=12),
+           others=st.lists(st.floats(-np.pi, np.pi), max_size=12))
+    def test_values_below_the_threshold_form_one_cluster(self, near, others):
+        # unit-circle values at distances in (0, 3 tau) on both sides of 1
+        angles = [2 * np.arcsin(d / 2) * (1 if above else -1) for d, above in near]
+        values = np.exp(1j * np.array(angles + others))
+        clusters, ids = cluster_eigenvalues(values)
+        at_one = np.abs(values - 1.0) < CLUSTER_TOL
+        if at_one.any():
+            (one,) = set(ids[at_one].tolist())
+            assert clusters[one][1] == spectral.kernel_dim(np.abs(values - 1.0))
+            assert abs(clusters[one][0] - 1.0) < CLUSTER_TOL
+        else:
+            one = None
+        assert all(abs(rep - 1.0) >= CLUSTER_TOL
+                   for k, (rep, _) in enumerate(clusters) if k != one)
+        assert np.bincount(ids, minlength=len(clusters)).tolist() == [m for _, m in clusters]
+
+    @pytest.mark.parametrize("eps, kernel", [(3e-9, 30), (1e-8, 20)])
+    def test_near_f2_cubed(self, eps, kernel):
+        # greedy clustering at the rank threshold once put 32 and 21 values
+        # in the cluster at 1, and the spectrum failed its own check
+        u = f2_cubed_perturbed(eps)
+        s = spectrum(u)
+        s.check()
+        assert s.multiplicity_of_one == eigenvalue_multiplicities(u.matrix) == svd_count(u) == kernel
+        at_one = np.abs(s.eigenvalues - 1.0) < CLUSTER_TOL
+        (one,) = set(s.cluster_ids[at_one].tolist())
+        assert s.clusters[one][1] == kernel
