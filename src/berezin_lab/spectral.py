@@ -12,9 +12,10 @@ X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
 S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
 pencil of X and Y.  The multiplicity of 1 is its count of small eigenvalues
 where that count is 2n - 1, the dimension of the sum symbols every Berezin
-transform fixes; any other count is taken from the eigenvalues of S, which
-come from the eigenvectors of one solve of the pencil.  The spectrum's
-cluster at 1 holds exactly the eigenvalues that count.
+transform fixes; any other count is taken from the eigenvalues of S, from
+the eigenvectors of one solve of the pencil and one small solve of those
+that fail their residual check.  The spectrum's cluster at 1 holds exactly
+the eigenvalues that count.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .matrices import Unitary, require_nonzero
 # eigenvalues closer than this to a cluster's mean join it, and singular
 # values below it count toward a kernel
 CLUSTER_TOL = 1e-8
-RUN_GAP = 1e-6  # eigenvalues of the pencil closer than this form one run
-RESIDUAL_TOL = 1e-10  # ||S q - lambda q|| above this re-solves the run
+# ||S q - lambda q|| above this re-solves the column with the others above it
+RESIDUAL_TOL = 1e-10
 # the angle phi of the pencil Y + tan(phi) (I - X) that counts the
 # multiplicity of 1; it also vanishes at the spurious point -e^{2 i phi} =
 # e^{i (pi + 1)}, no root of unity.  Two eigenvalues of S share an
@@ -178,9 +179,9 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
 
     A column q of eigh(M) is a joint eigenvector of X and Y unless its mu
     is shared; it gives b = q^T Y q and a = 1 - (mu - b) / t.  The columns
-    of a run of mu closer than RUN_GAP that are not eigenvectors of S span
-    an invariant subspace, and Q_run^T S Q_run carries its eigenvalues; a
-    true degenerate eigenspace never takes that branch."""
+    whose residual ||(S - lambda) q|| exceeds RESIDUAL_TOL span an invariant
+    subspace of the normal S, which commutes with M, and one eigvals of
+    Q_bad^T S Q_bad gives their eigenvalues; a degenerate eigenspace passes."""
     # the pencil's buffer is freed before Y Q is formed
     mu, q = np.linalg.eigh(_pencil(s))
     yq = np.ascontiguousarray(s.imag) @ q
@@ -191,18 +192,15 @@ def _eigenvalues(s: np.ndarray) -> np.ndarray:
     # at rounding level, so ||(S - lambda) q|| = hypot(1, 1 / t) ||(Y - b) q||,
     # which is ||(Y - b) q|| / sin(phi)
     yq -= q * b
-    residual = np.linalg.norm(yq, axis=0) / math.sin(PENCIL_ANGLE)
-    run = np.concatenate([[0], np.cumsum(np.diff(mu) > RUN_GAP)])
-    for r in np.unique(run[residual > RESIDUAL_TOL]):
-        lo, hi = np.searchsorted(run, [r, r + 1])
-        if hi - lo > 1:
-            # X = I + (Y - M) / t turns Q_run^T S Q_run into
-            # diag(values) + (1 / t + i) Q_run^T (Y - b) Q_run, formed from
-            # the columns already at hand with no product of S
-            small = (q[:, lo:hi].T @ yq[:, lo:hi]).astype(complex)
-            small *= 1.0 / t + 1j  # in place: no complex copy of the product
-            small[np.diag_indices(hi - lo)] += values[lo:hi]
-            values[lo:hi] = np.linalg.eigvals(small)
+    bad = np.linalg.norm(yq, axis=0) / math.sin(PENCIL_ANGLE) > RESIDUAL_TOL
+    if bad.any():
+        # X = I + (Y - M) / t turns Q_bad^T S Q_bad into
+        # diag(values) + (1 / t + i) Q_bad^T (Y - b) Q_bad, formed from
+        # the columns already at hand with no product of S
+        small = (q[:, bad].T @ yq[:, bad]).astype(complex)
+        small *= 1.0 / t + 1j  # in place: no complex copy of the product
+        small[np.diag_indices(len(small))] += values[bad]
+        values[bad] = np.linalg.eigvals(small)
     return values
 
 

@@ -47,8 +47,9 @@ class WeightedSpace:
             raise ValueError(f"shapes {f.shape}, {g.shape} vs weights {self.weights.shape}")
         return np.sum(f * np.conj(g) * self.weights, axis=(-2, -1))
 
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f).real, 0.0)))
+    def norm(self, f: np.ndarray) -> float | np.ndarray:
+        """||f||, or of each symbol of a stack, with no complex temporary."""
+        return np.sqrt(np.sum(np.abs(f) ** 2 * self.weights, axis=(-2, -1)))
 
 
 def c_symbol_to_operator(u: Unitary, f: np.ndarray) -> np.ndarray:

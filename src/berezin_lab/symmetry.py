@@ -103,7 +103,7 @@ def fourier_eigenfunction_check(n: int) -> float:
     r, s = np.indices((n, n))[..., np.newaxis, np.newaxis]
     chars = character_symbol(n, r, s)  # [r, s, k, l]
     residual = build_berezin(u).apply(chars) - unit_root(n, r * s) * chars
-    return float(np.sqrt(np.max(np.sum(np.abs(residual) ** 2 * space.weights, axis=(-2, -1)))))
+    return float(np.max(space.norm(residual)))
 
 
 # ---------------------------------------------------------------------------
