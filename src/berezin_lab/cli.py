@@ -81,8 +81,8 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 # spectrum, 44 n^4, holds S, the buffer of the pencil it solves and its
 # eigenvectors, then a copy of Y and Y Q in place of the buffer (40 n^4);
 # theorem-check and a sweep, 44 n^4, charge one ranked sample,
-# SAMPLE_BYTES_PER_N4, which peaks with spectrum where its pencil does not
-# count 2n - 1; verify-all, 64 n^4, peaks at the berezin-consistency
+# SAMPLE_BYTES_PER_N4, which peaks with spectrum where its certificate
+# fails; verify-all, 64 n^4, peaks at the berezin-consistency
 # row, where S stands beside the composed Berezin matrix and their
 # difference (56 to 57 n^4), and frees the composed matrix before the later
 # rows.  LAPACK's own copy of the matrix it works on, up to 8 n^4 more, is

@@ -9,13 +9,13 @@ W = diag(|u_kl|) gives the standardized matrix
 which is unitary in the standard product and symmetric, S = S^T.  Writing
 S = X + iY, both parts are real symmetric, and S S* = I gives XY = YX and
 X^2 + Y^2 = I: X and Y share a real orthonormal eigenbasis Q, with
-S q_j = (a_j + i b_j) q_j.  Everything here works from one real symmetric
-pencil of X and Y.  The multiplicity of 1 is its count of small eigenvalues
-where that count is 2n - 1, the dimension of the sum symbols every Berezin
-transform fixes; any other count is taken from the eigenvalues of S, from
-the eigenvectors of one solve of the pencil and one small solve of those
-that fail their residual check.  The spectrum's cluster at 1 holds exactly
-the eigenvalues that count.
+S q_j = (a_j + i b_j) q_j.  The eigenvalues of S come from the eigenvectors
+of one real symmetric pencil of X and Y and one small solve of those that
+fail their residual check.  The multiplicity of 1 is 2n - 1, the dimension
+of the sum symbols every Berezin transform fixes, wherever one Cholesky
+factorization of 2 (I - X) plus the projector onto those symbols proves it;
+any other count is taken from the eigenvalues of S.  The spectrum's cluster
+at 1 holds exactly the eigenvalues that count.
 """
 
 from __future__ import annotations
@@ -32,12 +32,16 @@ from .matrices import Unitary, require_nonzero
 CLUSTER_TOL = 1e-8
 # ||S q - lambda q|| above this re-solves the column with the others above it
 RESIDUAL_TOL = 1e-10
-# the angle phi of the pencil Y + tan(phi) (I - X) that counts the
-# multiplicity of 1; it also vanishes at the spurious point -e^{2 i phi} =
-# e^{i (pi + 1)}, no root of unity.  Two eigenvalues of S share an
+# the angle phi of the pencil Y + tan(phi) (I - X) whose eigenvectors give
+# the eigenvalues of S; it counts nothing.  Two eigenvalues of S share an
 # eigenvalue of the pencil only when their angles sum to pi + 1 mod 2 pi,
 # which no two roots of unity do.
 PENCIL_ANGLE = 0.5
+_UNIT_ROUNDOFF = 2.0**-53  # of float64
+# a bound on the relative error of an entry of S, as standardized_matrix
+# rounds it, in units of the roundoff: Higham's bounds for |u|, the complex
+# division |u| / u and two complex products add to 13 (measured: under 8)
+_ENTRY_ROUNDINGS = 16
 
 
 class InvariantViolation(Exception):
@@ -139,7 +143,7 @@ def cluster_eigenvalues(values: np.ndarray) -> tuple[list, np.ndarray]:
 
 def _pencil(s: np.ndarray) -> np.ndarray:
     """The pencil M = Y + tan(phi) (I - X) of S = X + i Y, phi = PENCIL_ANGLE,
-    or of each S of a stack, as a new real array.  It is real symmetric, with
+    as a new real array.  It is real symmetric, with
     the eigenvalue 2 sin(t/2) cos(t/2 - phi) / cos(phi) on the eigenvector of
     each eigenvalue e^{it} of S: |e^{it} - 1| (1 + O(t)) near t = 0, the
     scale of S - I's singular values, and 0 at the spurious t = pi + 2 phi."""
@@ -153,23 +157,108 @@ def _pencil(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplicity(s: np.ndarray):
-    """The number of eigenvalues of S within CLUSTER_TOL of 1, for S or each
-    S of a stack (a list): the pencil's count where it is 2n - 1, else the
-    count of the eigenvalues of that S alone.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
-    Every Berezin transform fixes the 2n - 1 sum symbols a_k + b_l; rounding
-    moves their pencil eigenvalues by about n^2 eps at most (Weyl's
-    inequality), under 2e-12 for n <= 70, far below the threshold.  So the
-    pencil's count is never below 2n - 1, and 2n - 1 leaves no eigenvalue at
-    its spurious zero: it is exact.  Each eigenvalue of S comes from its own
-    eigenvector and has no spurious point, so its count is the rank rule's."""
-    n = math.isqrt(s.shape[-1])
-    mu = np.linalg.eigvalsh(_pencil(s))
-    counts = np.asarray(kernel_dim(np.abs(mu)))
-    for i in map(tuple, np.argwhere(counts != 2 * n - 1)):
-        counts[i] = kernel_dim(np.abs(_eigenvalues(s[i]) - 1.0))
-    return counts.tolist()
+
+def _cholesky_succeeds(a: np.ndarray) -> np.ndarray:
+    """Whether np.linalg.cholesky runs to completion on each symmetric
+    matrix of a (samples, p, p) stack: the stack is factored in one call,
+    and each sample of a larger stack on its own only when that call fails."""
+    try:
+        np.linalg.cholesky(a)
+        return np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+    # a stack fails as a whole: factor each sample on its own
+    factored = np.ones(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            np.linalg.cholesky(a[i])
+        except np.linalg.LinAlgError:
+            factored[i] = False
+    return factored
+
+
+def _sum_symbols(m: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the sum symbols a_k + b_l in the
+    standardized coordinates of each unitary of a (samples, n, n) stack,
+    the 2n - 1 directions every S fixes, as a (samples, n^2, 2n - 1) stack:
+    |u| times the n row indicators and the column indicators l = 1..n-1
+    (that of column 0 is the sum of the rows' less theirs), orthonormalized
+    by one stacked QR."""
+    n = m.shape[-1]
+    w = np.abs(m)[..., np.newaxis]
+    eye = np.eye(n)
+    v = np.concatenate([w * eye[:, np.newaxis, :], w * eye[np.newaxis, :, 1:]], axis=-1)
+    return np.linalg.qr(v.reshape(len(m), n * n, 2 * n - 1))[0]
+
+
+def _multiplicity(m: np.ndarray) -> tuple[list, list]:
+    """For each unitary of a (samples, n, n) stack whose entries are all
+    nonzero, with S its standardized matrix: the number of eigenvalues of
+    S within CLUSTER_TOL of 1, and whether the certificate below gave it,
+    as two lists.  The stack of S is freed before the factorization, and
+    S is built again for each sample the certificate fails.
+
+    Q is the orthonormal basis of the 2n - 1 sum symbols (_sum_symbols).
+    As S = S^T, 2 (I - X) = (S - I)* (S - I) - (S* S - I).  Cholesky of
+    G - c I, G = 2 (I - X) + Q Q^T, succeeding proves that
+    (S - I)* (S - I) + Q Q^T has no eigenvalue below CLUSTER_TOL^2 (shift
+    below); Q Q^T has rank 2n - 1, so by interlacing S - I has at most
+    2n - 1 singular values below CLUSTER_TOL.  ||(S - I) Q||_F below
+    CLUSTER_TOL gives it 2n - 1 of them: exactly 2n - 1, the count the
+    eigenvalues of S make to within their rounding.  Any other sample's
+    count is the rank rule's on the eigenvalues of its S.
+
+    The shift, for N = n^2, f = ||u||_F^2 and
+    d = ||fl(u* u) - I||_F + gamma_{2n+16} f, is
+        c = 2 ((gamma_{N+1} / (1 - gamma_{N+1}) + u) tr G
+               + gamma_{2n+2} (2n + 1 + 2 f) + d (2 + d)) + CLUSTER_TOL^2.
+    The first term is Rump's bound for the factorization and the rounding
+    of the subtraction on the diagonal, as in submersion._certify.
+    Forming fl(Q Q^T) - X - X + (2 - c) I, 2n + 2 terms an entry, rounds
+    it by at most gamma_{2n+2} times |Q| |Q|^T + 2 |X| + 2 I, whose norm is
+    at most ||Q||_F^2 + 2 ||S||_F + 2 = 2n + 1 + 2 f.  Last, ||S* S - I||_2:
+    S* S = conj(P) ((u u*)^T (x) u* u) P with P = diag(|u| / u), so the S
+    of u has its singular values within delta = ||u* u - I||_2 of 1; the
+    S at hand differs from it by at most gamma_16 f in norm, its entries
+    being rounded by under gamma_16 relative (_ENTRY_ROUNDINGS), and
+    fl(u* u) errs by at most gamma_{2n} f.  So d bounds the distance of
+    the singular values of S from 1, and ||S* S - I||_2 <= d (2 + d).  The
+    factor 2 covers the rounding in d, f, tr G and c, relative and under
+    1e-13, and Rump's underflow term, under 1e-300 here.  sqrt(c) is
+    5.5e-6 at n = 16, for a unitary u, where tr G = 2 n^2 - 1."""
+    n = m.shape[-1]
+    size, rank = n * n, 2 * n - 1
+    s = standardized_matrix(m)
+    qt = np.swapaxes(_sum_symbols(m), -1, -2)
+    # Q^T S = (S Q)^T as S = S^T: Q^T X and Q^T Y interleaved, from the
+    # real view of S with no complex temporary
+    sq = qt @ s.view(np.float64)
+    sq[..., ::2] -= qt
+    residual = np.linalg.norm(sq, axis=(-2, -1))
+    del sq
+    g = np.swapaxes(qt, -1, -2) @ qt
+    g -= s.real
+    g -= s.real
+    del s, qt  # before the factorization
+    f = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    d = (np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(n), axis=(-2, -1))
+         + _gamma(2 * n + _ENTRY_ROUNDINGS) * f)
+    rump = _gamma(size + 1)
+    trace = np.trace(g, axis1=-2, axis2=-1) + 2.0 * size
+    shift = 2.0 * ((rump / (1.0 - rump) + _UNIT_ROUNDOFF) * trace
+                   + _gamma(rank + 3) * (rank + 2 + 2.0 * f) + d * (2.0 + d)) + CLUSTER_TOL**2
+    diag = np.arange(size)
+    g[:, diag, diag] += (2.0 - shift)[:, np.newaxis]
+    certified = _cholesky_succeeds(g) & (residual < CLUSTER_TOL)
+    del g  # before the eigenvalues of any sample are taken
+    counts = [rank if ok else kernel_dim(np.abs(_eigenvalues(standardized_matrix(m[i])) - 1.0))
+              for i, ok in enumerate(certified)]
+    return counts, certified.tolist()
 
 
 def _eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -214,10 +303,12 @@ def spectrum(u: Unitary) -> SpectralSummary:
                            multiplicity_of_one=kernel_dim(np.abs(eigenvalues - 1.0)))
 
 
-def eigenvalue_multiplicities(m: np.ndarray):
+def eigenvalue_multiplicities(m: np.ndarray) -> tuple:
     """The multiplicity of 1 as an eigenvalue of the Berezin transform of
-    the unitary matrix m, or of each of a stack along leading axes (a list),
-    without the spectrum: one batched eigvalsh of the pencil, and the
-    eigenvalues of each S whose pencil does not count 2n - 1.  Entries must
-    be nonzero."""
-    return _multiplicity(standardized_matrix(m))
+    the unitary matrix m, and whether the Cholesky certificate gave it (an
+    int and a bool), or of each of a stack along leading axes (two lists),
+    without the spectrum: one batched certificate, and the eigenvalues of
+    each S it does not certify.  Entries must be nonzero."""
+    shape = m.shape[:-2]
+    counts, certified = _multiplicity(m.reshape(-1, *m.shape[-2:]))
+    return np.reshape(counts, shape).tolist(), np.reshape(certified, shape).tolist()

@@ -10,24 +10,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
-from .spectral import CLUSTER_TOL, eigenvalue_multiplicities, kernel_dim
+from .spectral import (
+    _UNIT_ROUNDOFF,
+    CLUSTER_TOL,
+    _cholesky_succeeds,
+    _gamma,
+    eigenvalue_multiplicities,
+    kernel_dim,
+)
 
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
-# tracemalloc measures it at n = 12 to 20.  A sample whose pencil does not
-# count 2n - 1 takes its count from the eigenvalues of its S, as spectrum
-# does, and peaks with spectrum (43.7, 41.3 and 40.6 at n = 12, 16 and 20):
-# S (16 n^4) beside the pencil and its eigenvectors, then beside Y, Y Q and
-# the eigenvectors.  Any other sample peaks at 29.6, 24.2 and 24.1: S and
-# the real buffer of the pencil (8 n^4), freed before any count from the
-# eigenvalues.  The Jacobian side peaks at 16.3 to 16.5 n^4, two of the
-# certificate's Jacobian, A, Gram matrix and factor at a time, or at 8 n^4
-# for the Jacobian of the SVD, and frees them before the Berezin side runs.
-# A sweep chunk and the CLI's size cap of theorem-check and sweep both
-# charge this.
+# tracemalloc measures it at n = 12 to 20.  A sample the Berezin side's
+# certificate fails takes its count from the eigenvalues of its S, as
+# spectrum does, and peaks with spectrum (43.6, 41.2 and 40.5 at n = 12, 16
+# and 20): S (16 n^4) beside the pencil and its eigenvectors, then beside
+# Y, Y Q and the eigenvectors.  Any other sample peaks at 29.5, 25.0 and
+# 24.8: S beside G (8 n^4), which is factored once S is freed.  The
+# Jacobian side peaks at 16.3 to 16.5 n^4, two of the certificate's
+# Jacobian, A, Gram matrix and factor at a time, or at 8 n^4 for the
+# Jacobian of the SVD, and frees them before the Berezin side runs.  A
+# sweep chunk and the CLI's size cap of theorem-check and sweep both charge
+# this.
 SAMPLE_BYTES_PER_N4 = 44
 # Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
-_UNIT_ROUNDOFF = 2.0**-53  # of float64
 
 
 def _chunk_size(n: int) -> int:
@@ -76,8 +82,10 @@ def _skew_hermitian(x: np.ndarray) -> np.ndarray:
 @dataclass
 class JacobianReport:
     """One theorem verdict; its fields, in order, are its JSON keys.
-    certified tells whether the Cholesky certificate gave the count; the
-    singular values are listed only where the SVD gave it."""
+    certified tells whether the Cholesky certificate gave the kernel
+    dimension, and berezin_certified whether the Berezin side's gave the
+    multiplicity of 1; the singular values are listed only where the SVD
+    gave the kernel dimension."""
 
     n: int
     rank: int
@@ -86,6 +94,7 @@ class JacobianReport:
     theorem_holds: bool
     is_submersion: bool
     certified: bool
+    berezin_certified: bool
     singular_values: np.ndarray | None
 
     def to_dict(self) -> dict:
@@ -144,11 +153,6 @@ def _right_phases(m: np.ndarray) -> np.ndarray:
     return np.stack([x.real, x.imag], axis=2).reshape(len(m), n * (n - 1), n - 1)
 
 
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
 def _certify(m: np.ndarray) -> np.ndarray:
     """For each unitary of a (samples, n, n) stack whose entries are all
     nonzero: whether its Jacobian J provably has 2n - 1 singular values
@@ -174,7 +178,7 @@ def _certify(m: np.ndarray) -> np.ndarray:
     under gamma_k / (1 - gamma_k) tr G.  The factor 2 covers Rump's
     underflow term, under 1e-300 here, and the rounding in tr G and in c
     itself, relative and under 1e-13."""
-    count, n = len(m), m.shape[-1]
+    n = m.shape[-1]
     p, k = n * (n - 1), n * n + n - 1
     q = np.linalg.qr(_right_phases(m))[0]
     a = np.concatenate([_jacobians(m)[..., n:], np.swapaxes(q, -1, -2)], axis=-2)
@@ -186,25 +190,15 @@ def _certify(m: np.ndarray) -> np.ndarray:
     diag = np.arange(p)
     gram[:, diag, diag] -= (coefficient * np.trace(gram, axis1=-2, axis2=-1)
                             + CLUSTER_TOL**2)[:, np.newaxis]
-    factored = np.ones(count, dtype=bool)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        # a stack fails as a whole: factor each sample on its own
-        for s in range(count):
-            try:
-                np.linalg.cholesky(gram[s])
-            except np.linalg.LinAlgError:
-                factored[s] = False
-    return factored & (residual < CLUSTER_TOL)
+    return _cholesky_succeeds(gram) & (residual < CLUSTER_TOL)
 
 
 def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
     """jacobian_report for each unitary of a (samples, n, n) stack whose
-    entries are all nonzero.  The Jacobian side runs one batched Cholesky
-    certificate and, on the samples it does not certify, one batched SVD;
-    the Berezin side, one call of eigenvalue_multiplicities on the whole
-    stack.
+    entries are all nonzero.  Each side runs one batched Cholesky
+    certificate: the Jacobian side, then one batched SVD of the samples it
+    does not certify; the Berezin side, one call of
+    eigenvalue_multiplicities on the whole stack.
 
     Row (k, l) of the Jacobian is divided by |u_kl|, which makes it the
     differential of 2|u| in place of |u|^2: the kernel is the same since
@@ -221,7 +215,7 @@ def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
         for i, sv in zip(fallback, np.linalg.svd(_jacobians(m[fallback]), compute_uv=False)):
             values[i] = sv
     reports = []
-    for sv, mult in zip(values, eigenvalue_multiplicities(m)):
+    for sv, mult, proved in zip(values, *eigenvalue_multiplicities(m)):
         kernel = 2 * n - 1 if sv is None else kernel_dim(sv)
         rank = n * n - kernel
         reports.append(JacobianReport(
@@ -232,6 +226,7 @@ def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
             theorem_holds=(kernel == mult),
             is_submersion=(rank == (n - 1) ** 2),
             certified=sv is None,
+            berezin_certified=proved,
             singular_values=sv,
         ))
     return reports

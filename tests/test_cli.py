@@ -257,7 +257,7 @@ class TestSweepCommand:
                    "--per-sample", str(csv_path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["skipped"] == 1
-        assert csv_path.read_text().splitlines()[5] == "4,1,,,,,,"
+        assert csv_path.read_text().splitlines()[5] == "4,1,,,,,,,"
 
 
 class TestVerifyAllCommand:
@@ -314,7 +314,7 @@ class TestVerifyAllCommand:
         eigh, multiplicity = np.linalg.eigh, spectral._multiplicity
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
         monkeypatch.setattr(spectral, "_multiplicity",
-                            lambda s: counts.append(s.shape) or multiplicity(s))
+                            lambda m: counts.append(m.shape) or multiplicity(m))
         assert main(["verify-all", "--n", "3"]) == 0
         assert eighs == [(9, 9)]
         assert counts == []
@@ -375,7 +375,7 @@ class TestRecordFormats:
         assert main(["theorem-check", "--family", "haar", "--n", "3"]) == 0
         assert list(json.loads(capsys.readouterr().out)) == [
             "n", "rank", "kernel_dim", "berezin_multiplicity_of_one", "theorem_holds",
-            "is_submersion", "certified", "singular_values"]
+            "is_submersion", "certified", "berezin_certified", "singular_values"]
 
     def test_sweep_json_keys(self, capsys):
         assert main(["sweep", "--n", "3", "--samples", "2"]) == 0
@@ -388,7 +388,7 @@ class TestRecordFormats:
         assert main(["sweep", "--n", "3", "--samples", "2", "--per-sample", str(csv_path)]) == 0
         assert csv_path.read_text().splitlines()[0] == (
             "sample,skipped,rank,kernel_dim,berezin_multiplicity_of_one,"
-            "theorem_holds,is_submersion,certified")
+            "theorem_holds,is_submersion,certified,berezin_certified")
 
     def test_verify_all_json_row_keys(self, capsys):
         assert main(["verify-all", "--n", "3", "--format", "json"]) == 0
@@ -708,9 +708,10 @@ def test_matrix_file_with_a_unitarity_defect_counts_2n_minus_1(n, seed, eps, tmp
 
 
 @pytest.mark.parametrize("solver, argv", [
-    # F4 has a kernel of 8, past the Cholesky certificate: its SVD runs
+    # F4 has a kernel of 8, past both Cholesky certificates: its SVD and
+    # the eigh of its S run
     ("svd", ["theorem-check", "--family", "fourier", "--n", "4"]),
-    ("eigvalsh", ["theorem-check", "--family", "haar", "--n", "4"]),
+    ("eigh", ["theorem-check", "--family", "fourier", "--n", "4"]),
     ("eigh", ["spectrum", "--family", "haar", "--n", "4"]),
 ])
 def test_solver_failure_exits_2(solver, argv, monkeypatch, capsys):
@@ -724,6 +725,21 @@ def test_solver_failure_exits_2(solver, argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {solver} did not converge\n"
+
+
+def test_failed_factorizations_fall_back(monkeypatch, capsys):
+    # a Cholesky factorization that always fails leaves both counts to
+    # their fallbacks, the SVD and the eigenvalues of S: same verdict
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    assert main(["theorem-check", "--family", "haar", "--n", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kernel_dim"], out["berezin_multiplicity_of_one"], out["theorem_holds"]) == (
+        31, 31, True)
+    assert (out["certified"], out["berezin_certified"]) == (False, False)
+    assert len(out["singular_values"]) == 256
 
 
 def test_csv_cluster_ids_match_clusters(capsys):

@@ -2,14 +2,18 @@
 explicit kernel in ``spectral`` and the composition c^-1 o d in ``symbols``
 import nothing from each other, so the ``berezin-consistency`` row of
 ``verify-all``, where they meet, compares two computations and not one.
+``spectral`` imports nothing from ``submersion`` either, so the Berezin
+side's certificate never reads the Jacobian it is compared with.
 """
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import berezin_lab
+from berezin_lab import e_subspace_basis, haar_random_unitary, spectral
 
 SOURCE = pathlib.Path(berezin_lab.__file__).parent
 PACKAGE = berezin_lab.__name__
@@ -38,7 +42,8 @@ def imported_modules(path):
     return found
 
 
-@pytest.mark.parametrize("module, other", [("spectral", "symbols"), ("symbols", "spectral")])
+@pytest.mark.parametrize("module, other", [
+    ("spectral", "symbols"), ("symbols", "spectral"), ("spectral", "submersion")])
 def test_constructions_do_not_import_each_other(module, other):
     assert other not in imported_modules(SOURCE / f"{module}.py")
 
@@ -49,3 +54,14 @@ def test_imported_modules_sees_every_spelling(tmp_path):
                     f"import {PACKAGE}.matrices\nfrom {PACKAGE}.cli import main\n"
                     f"from {PACKAGE} import symmetry\nimport numpy\n")
     assert imported_modules(path) == {"symbols", "spectral", "matrices", "cli", "symmetry"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_sum_symbols_span_the_e_subspace(n):
+    # spectral builds its own basis of the sum symbols; it spans |u| times
+    # the symbols a_k + b_l of symbols.e_subspace_basis
+    u = haar_random_unitary(n, seed=[33, n]).matrix
+    q = spectral._sum_symbols(u[np.newaxis])[0]
+    v = (np.abs(u) * e_subspace_basis(n).real).reshape(2 * n - 1, n * n).T
+    assert np.linalg.matrix_rank(v) == q.shape[1] == 2 * n - 1
+    np.testing.assert_allclose(q @ (q.T @ v), v, rtol=0, atol=1e-14)

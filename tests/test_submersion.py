@@ -220,9 +220,10 @@ class TestCholeskyCertificate:
     @pytest.mark.parametrize("seed", FALLBACK_SEEDS)
     def test_haar_seeds_under_the_margin_fall_back(self, seed):
         # the (2n)-th singular value lies between the rank threshold and
-        # the certificate's margin: the SVD counts 2n - 1
+        # the certificate's margin: the SVD counts 2n - 1, and the
+        # eigenvalues of S, past the Berezin certificate's margin too
         report = jacobian_report(haar_random_unitary(16, seed=seed))
-        assert not report.certified
+        assert not report.certified and not report.berezin_certified
         assert 1e-8 < np.sort(report.singular_values)[31] < 1e-5
         assert (report.rank, report.kernel_dim, report.berezin_multiplicity_of_one,
                 report.theorem_holds) == (225, 31, 31, True)
@@ -239,6 +240,7 @@ class TestCholeskyCertificate:
         for u, before in zip(inputs, certified):
             after = jacobian_report(u)
             assert not after.certified and len(after.singular_values) == u.n**2
+            assert not after.berezin_certified
             assert (after.rank, after.kernel_dim, after.berezin_multiplicity_of_one,
                     after.theorem_holds) == (before.rank, before.kernel_dim,
                                              before.berezin_multiplicity_of_one,
@@ -255,7 +257,8 @@ class TestCholeskyCertificate:
         report = submersion_sweep(4, samples=6, seed=3, on_chunk=patched.update)
         assert report.kernel_dim_histogram == {7: 5, 8: 1} and report.theorem_violations == 0
         assert not patched[2].certified and patched[2].kernel_dim == 8
-        assert all(patched[i].certified for i in (0, 1, 3, 4, 5))
+        assert not patched[2].berezin_certified
+        assert all(patched[i].certified and patched[i].berezin_certified for i in (0, 1, 3, 4, 5))
         assert {i: r.to_dict() for i, r in patched.items() if i != 2} == {
             i: r.to_dict() for i, r in rows.items() if i != 2}
 
