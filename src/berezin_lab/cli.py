@@ -78,20 +78,19 @@ THETA_HELP = "'re,im' or 'angle:<radians>'"
 
 # Each command is charged its peak of numpy arrays in bytes per n^4, as
 # tracemalloc measures it at n = 12 to 20 (the multiple falls as n grows):
-# spectrum, 44 n^4, holds S, the buffer of the pencil it solves and its
-# eigenvectors, then a copy of Y and Y Q in place of the buffer (40 n^4);
-# theorem-check and a sweep, 44 n^4, charge one ranked sample,
-# SAMPLE_BYTES_PER_N4, which peaks with spectrum where its certificate
-# fails; verify-all, 64 n^4, peaks at the berezin-consistency
-# row, where S stands beside the composed Berezin matrix and their
-# difference (56 to 57 n^4), and frees the composed matrix before the later
-# rows.  LAPACK's own copy of the matrix it works on, up to 8 n^4 more, is
-# not counted.  A sweep chunk holds several samples only while they fit
-# 8 MiB, and past n = 17 it holds one.  An n whose charge passes the cap
-# (n above 70, 70 and 64 respectively) is refused before anything of that
-# size is built.  keep_freed_pages changes where arrays live, not what
-# tracemalloc charges for them.
-STACK_BYTES_PER_N4 = {"spectrum": 44, "theorem-check": SAMPLE_BYTES_PER_N4,
+# spectrum, 33 n^4, holds S beside a copy of Y and the pencil it solves,
+# and frees S before the solve (32 n^4); theorem-check and a sweep,
+# 33 n^4, charge one ranked sample, SAMPLE_BYTES_PER_N4, which peaks with
+# spectrum where its certificate fails; verify-all, 64 n^4, peaks at the
+# berezin-consistency row, where S stands beside the composed Berezin
+# matrix and their difference (56 to 57 n^4), and frees the composed
+# matrix before the later rows.  LAPACK's own copy of the matrix it works
+# on, up to 8 n^4 more, is not counted.  A sweep chunk holds several
+# samples only while they fit 8 MiB, and past n = 18 it holds one.  An n
+# whose charge passes the cap (n above 75, 75 and 64 respectively) is
+# refused before anything of that size is built.  keep_freed_pages changes
+# where arrays live, not what tracemalloc charges for them.
+STACK_BYTES_PER_N4 = {"spectrum": 33, "theorem-check": SAMPLE_BYTES_PER_N4,
                       "sweep": SAMPLE_BYTES_PER_N4, "verify-all": 64}
 MAX_STACK_BYTES = 2**30
 

@@ -256,24 +256,31 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     g[:, diag, diag] += (2.0 - shift)[:, np.newaxis]
     certified = _cholesky_succeeds(g) & (residual < CLUSTER_TOL)
     del g  # before the eigenvalues of any sample are taken
-    counts = [rank if ok else kernel_dim(np.abs(_eigenvalues(standardized_matrix(m[i])) - 1.0))
+    counts = [rank if ok else kernel_dim(np.abs(_eigenvalues(m[i]) - 1.0))
               for i, ok in enumerate(certified)]
     return counts, certified.tolist()
 
 
-def _eigenvalues(s: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric unitary S, in the order of the
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric unitary S = X + i Y of the unitary
+    matrix m, whose entries must be nonzero, in the order of the
     eigenvalues mu of M = Y + t (I - X), t = tan(PENCIL_ANGLE), from
-    one eigh of M.
+    one eigh of M.  S is freed before the solve: M and a copy of Y are all
+    of it that is kept.
 
     A column q of eigh(M) is a joint eigenvector of X and Y unless its mu
     is shared; it gives b = q^T Y q and a = 1 - (mu - b) / t.  The columns
     whose residual ||(S - lambda) q|| exceeds RESIDUAL_TOL span an invariant
     subspace of the normal S, which commutes with M, and one eigvals of
     Q_bad^T S Q_bad gives their eigenvalues; a degenerate eigenspace passes."""
-    # the pencil's buffer is freed before Y Q is formed
-    mu, q = np.linalg.eigh(_pencil(s))
-    yq = np.ascontiguousarray(s.imag) @ q
+    s = standardized_matrix(m)
+    y = np.ascontiguousarray(s.imag)
+    pencil = _pencil(s)
+    del s
+    mu, q = np.linalg.eigh(pencil)
+    del pencil  # before Y Q is formed
+    yq = y @ q
+    del y
     b = np.einsum("ij,ij->j", q, yq)
     t = math.tan(PENCIL_ANGLE)
     values = (1.0 - (mu - b) / t) + 1j * b
@@ -298,7 +305,7 @@ def spectrum(u: Unitary) -> SpectralSummary:
     multiplicity of 1 counted from them by the rank rule, |lambda - 1| below
     CLUSTER_TOL: the size of the cluster at 1."""
     require_nonzero(u)
-    eigenvalues = _eigenvalues(standardized_matrix(u.matrix))
+    eigenvalues = _eigenvalues(u.matrix)
     return SpectralSummary(u.n, eigenvalues, *cluster_eigenvalues(eigenvalues),
                            multiplicity_of_one=kernel_dim(np.abs(eigenvalues - 1.0)))
 

@@ -4,8 +4,10 @@ always equals the Berezin multiplicity of the eigenvalue 1."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,16 +24,15 @@ from .spectral import (
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
 # tracemalloc measures it at n = 12 to 20.  A sample the Berezin side's
 # certificate fails takes its count from the eigenvalues of its S, as
-# spectrum does, and peaks with spectrum (43.6, 41.2 and 40.5 at n = 12, 16
-# and 20): S (16 n^4) beside the pencil and its eigenvectors, then beside
-# Y, Y Q and the eigenvectors.  Any other sample peaks at 29.5, 25.0 and
+# spectrum does, and peaks with spectrum (32.7, 32.3 and 32.2 at n = 12, 16
+# and 20): S (16 n^4) beside the pencil and a copy of Y, which are all that
+# is kept of S through the solve.  Any other sample peaks at 29.6, 25.1 and
 # 24.8: S beside G (8 n^4), which is factored once S is freed.  The
-# Jacobian side peaks at 16.3 to 16.5 n^4, two of the certificate's
-# Jacobian, A, Gram matrix and factor at a time, or at 8 n^4 for the
-# Jacobian of the SVD, and frees them before the Berezin side runs.  A
-# sweep chunk and the CLI's size cap of theorem-check and sweep both charge
-# this.
-SAMPLE_BYTES_PER_N4 = 44
+# Jacobian side peaks at 14.1 to 14.8 n^4, its Gram matrix beside the
+# scattered blocks or the factor, or at 8 n^4 for the Jacobian of the SVD,
+# and frees them before the Berezin side runs.  A sweep chunk and the CLI's
+# size cap of theorem-check and sweep both charge this.
+SAMPLE_BYTES_PER_N4 = 33
 # Memory a sweep chunk may take
 _CHUNK_BYTES = 8 * 2**20
 
@@ -113,30 +114,73 @@ def jacobian_report(u: Unitary) -> JacobianReport:
     return _jacobian_reports(u.matrix[np.newaxis])[0]
 
 
-def _jacobians(m: np.ndarray) -> np.ndarray:
-    """The Jacobian of each unitary of a (samples, n, n) stack whose entries
-    are all nonzero, as a (samples, n^2, n^2) real stack: column b is
-    tangent_direction(u, skew_hermitian_basis(n)[b]) / |u|, flattened
-    row-major, built in closed form.
+class _Layout(NamedTuple):
+    """The index arrays that take the Jacobian's row blocks from a stack of
+    unitaries of size n and scatter them into the Jacobian or its Gram
+    matrix.  Row block k is rows (k, l), l < n; it is nonzero only in the
+    2 (n - 1) columns of the n - 1 off-diagonal pairs that contain k, taken
+    in the order of the pair's other index."""
+
+    i: np.ndarray  # the off-diagonal pairs (i, j), i < j, in row-major order
+    j: np.ndarray
+    # where u_jl and u_il lie in a flattened u, for the pair (i, j) of each
+    # slot of each block and each l, shaped (n, n, n - 1)
+    at_j: np.ndarray
+    at_i: np.ndarray
+    sign: np.ndarray  # 1 where block k is the pair's row i, -1 where its row j
+    # the columns of J' (J without its n zero columns) of each block, an
+    # (n, 2 (n - 1)) array with the pair's two elements adjacent
+    cols: np.ndarray
+    # where each entry of each block's own Gram matrix lands in the
+    # flattened p x p Gram matrix, p = n^2 - n
+    gram_index: np.ndarray
+
+
+@functools.cache
+def _layout(n: int) -> _Layout:
+    """The _Layout of size n, built once per n."""
+    i, j = np.triu_indices(n, 1)
+    pair_of = np.zeros((n, n), dtype=np.intp)
+    pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    pair = np.take_along_axis(pair_of, others, axis=1)
+    cols = (2 * pair[..., np.newaxis] + np.arange(2)).reshape(n, 2 * (n - 1))
+    ls, p = np.arange(n)[:, np.newaxis], n * (n - 1)
+    return _Layout(i, j, j[pair][:, np.newaxis] * n + ls, i[pair][:, np.newaxis] * n + ls,
+                   np.where(others > ls, 1.0, -1.0)[:, np.newaxis], cols,
+                   (cols[:, :, np.newaxis] * p + cols[:, np.newaxis, :]).ravel())
+
+
+def _row_blocks(m: np.ndarray) -> np.ndarray:
+    """The nonzero row blocks of the Jacobian of each unitary of a
+    (samples, n, n) stack whose entries are all nonzero, as a
+    (samples, n, n, 2 (n - 1)) stack: block k holds rows (k, l) in the
+    columns _Layout.cols lists for it, the Jacobian's closed form.
 
     A diagonal element i E_kk pushes to 2 Re(i |u|^2) = 0, so the first n
     columns are zero.  The pair (i, j) moves only rows i and j of u: with
     g_l = sqrt(2) u_jl conj(u_il), its antisymmetric-real element gives
     Re g_l / |u_il| at (i, l) and -Re g_l / |u_jl| at (j, l), and its
-    symmetric-imaginary element -Im g_l / |u_il| and Im g_l / |u_jl|."""
+    symmetric-imaginary element -Im g_l / |u_il| and Im g_l / |u_jl|:
+    the real and imaginary parts of conj(g_l / |u_il|) and of
+    conj(g_l / -|u_jl|)."""
     count, n = len(m), m.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    col = n + 2 * np.arange(len(i))[:, np.newaxis]
-    row_i = i[:, np.newaxis] * n + np.arange(n)
-    row_j = j[:, np.newaxis] * n + np.arange(n)
-    w = np.abs(m)
-    g = math.sqrt(2.0) * m[:, j] * np.conj(m[:, i])
-    gi, gj = g / w[:, i], g / w[:, j]
+    layout = _layout(n)
+    flat = m.reshape(count, n * n)
+    g = (math.sqrt(2.0) * np.take(flat, layout.at_j, axis=1)
+         * np.conj(np.take(flat, layout.at_i, axis=1)))
+    g /= np.abs(m)[..., np.newaxis] * layout.sign
+    return np.conj(g, out=g).view(np.float64)
+
+
+def _jacobians(m: np.ndarray) -> np.ndarray:
+    """The Jacobian of each unitary of a (samples, n, n) stack whose entries
+    are all nonzero, as a (samples, n^2, n^2) real stack: column b is
+    tangent_direction(u, skew_hermitian_basis(n)[b]) / |u|, flattened
+    row-major, its row blocks (_row_blocks) scattered into zeros."""
+    count, n = len(m), m.shape[-1]
     jac = np.zeros((count, n * n, n * n))
-    jac[:, row_i, col] = gi.real
-    jac[:, row_j, col] = -gj.real
-    jac[:, row_i, col + 1] = -gi.imag
-    jac[:, row_j, col + 1] = gj.imag
+    jac[:, np.arange(n * n).reshape(n, n, 1), n + _layout(n).cols[:, np.newaxis]] = _row_blocks(m)
     return jac
 
 
@@ -148,9 +192,34 @@ def _right_phases(m: np.ndarray) -> np.ndarray:
     and on the diagonal directions; the n-th phase is the sum of these
     and a diagonal direction."""
     n = m.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    x = 1j * math.sqrt(2.0) * m[:, i, :-1] * np.conj(m[:, j, :-1])
+    layout = _layout(n)
+    x = 1j * math.sqrt(2.0) * m[:, layout.i, :-1] * np.conj(m[:, layout.j, :-1])
     return np.stack([x.real, x.imag], axis=2).reshape(len(m), n * (n - 1), n - 1)
+
+
+def _block_gram(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = A^T A and ||J' Q||_F for each unitary of a (samples, n, n)
+    stack whose entries are all nonzero, a (samples, p, p) and a
+    (samples,) array, p = n^2 - n, with J', Q and A as in _certify.
+    Neither J nor A is built: G is Q Q^T plus the Gram matrices B_k^T B_k
+    of J's row blocks (_row_blocks), taken in one batched product and
+    scattered into place by one bincount, and J' Q is the stack of the
+    products B_k Q[cols_k]."""
+    count, n = len(m), m.shape[-1]
+    p = n * (n - 1)
+    layout = _layout(n)
+    q = np.linalg.qr(_right_phases(m))[0]
+    blocks = _row_blocks(m)
+    residual = np.linalg.norm((blocks @ q[:, layout.cols]).reshape(count, n * n, n - 1),
+                              axis=(-2, -1))
+    # the blocks' Gram matrices in place, before G itself is allocated
+    scattered = np.bincount((p * p * np.arange(count)[:, np.newaxis] + layout.gram_index).ravel(),
+                            weights=(np.swapaxes(blocks, -1, -2) @ blocks).ravel(),
+                            minlength=count * p * p)
+    del blocks
+    gram = q @ np.swapaxes(q, -1, -2)
+    gram += scattered.reshape(gram.shape)
+    return gram, residual
 
 
 def _certify(m: np.ndarray) -> np.ndarray:
@@ -164,27 +233,27 @@ def _certify(m: np.ndarray) -> np.ndarray:
     n-dimensional subspace meets ker Q^T, where |J' x| = |A x|, so J' has
     at most n - 1 singular values below CLUSTER_TOL.  ||J' Q||_F below
     CLUSTER_TOL gives it n - 1 of them, and J has n zero columns more:
-    exactly 2n - 1, the count the SVD makes to within its rounding.
+    exactly 2n - 1, the count the SVD makes to within its rounding.  G and
+    ||J' Q||_F are formed from J's row blocks (_block_gram).
 
-    The shift, for the order p = n^2 - n of G = fl(A^T A) and the length
-    k = n^2 + n - 1 of its inner products, is
+    The shift, for the order p = n^2 - n of G and the length
+    k = n^2 + n - 1 of A's columns, is
         c = 2 (gamma_{p+1} / (1 - gamma_{p+1}) + gamma_k / (1 - gamma_k) + u) tr G
             + CLUSTER_TOL^2.
     Cholesky of fl(G - c I) runs to completion only if that matrix has no
     eigenvalue below -gamma_{p+1} / (1 - gamma_{p+1}) tr G (Rump, BIT 46,
     2006, from the backward error gamma_{p+1} |R^T| |R| of a Cholesky
     factor R); the subtraction rounds the diagonal by at most u tr G;
-    forming G errs by at most gamma_k || |A| ||_2^2 <= gamma_k tr(A^T A),
-    under gamma_k / (1 - gamma_k) tr G.  The factor 2 covers Rump's
-    underflow term, under 1e-300 here, and the rounding in tr G and in c
-    itself, relative and under 1e-13."""
+    each entry of G is a sum of at most 3n - 1 <= k products, n from each
+    of the two blocks that meet it and n - 1 from Q Q^T, so in whatever
+    order they are added forming G errs by at most
+    gamma_k || |A| ||_2^2 <= gamma_k tr(A^T A), under
+    gamma_k / (1 - gamma_k) tr G.  The factor 2 covers Rump's underflow
+    term, under 1e-300 here, and the rounding in tr G and in c itself,
+    relative and under 1e-13."""
     n = m.shape[-1]
     p, k = n * (n - 1), n * n + n - 1
-    q = np.linalg.qr(_right_phases(m))[0]
-    a = np.concatenate([_jacobians(m)[..., n:], np.swapaxes(q, -1, -2)], axis=-2)
-    residual = np.linalg.norm(a[:, :n * n] @ q, axis=(-2, -1))
-    gram = np.swapaxes(a, -1, -2) @ a
-    del a  # before the factor is allocated
+    gram, residual = _block_gram(m)
     rump, forming = _gamma(p + 1), _gamma(k)
     coefficient = 2.0 * (rump / (1.0 - rump) + forming / (1.0 - forming) + _UNIT_ROUNDOFF)
     diag = np.arange(p)

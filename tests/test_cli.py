@@ -407,10 +407,10 @@ class TestSizeCap:
 
     @pytest.mark.parametrize("argv, charge", [
         pytest.param(argv, charge, id=" ".join(argv)) for argv, charge in [
-            (["spectrum", "--family", "haar"], 44 * 5**4),
-            (["spectrum", "--family", "fourier"], 44 * 5**4),
-            (["theorem-check", "--family", "example2"], 44 * 5**4),
-            (["sweep", "--samples", "2"], 44 * 5**4),
+            (["spectrum", "--family", "haar"], 33 * 5**4),
+            (["spectrum", "--family", "fourier"], 33 * 5**4),
+            (["theorem-check", "--family", "example2"], 33 * 5**4),
+            (["sweep", "--samples", "2"], 33 * 5**4),
             (["verify-all"], 64 * 5**4),
         ]])
     def test_past_cap_refused(self, argv, charge, capsys):
@@ -465,7 +465,10 @@ def test_docs_state_the_size_charges_and_caps():
     ["spectrum", "--family", "example2", "--theta", "angle:-1", "--format", "text"],
     ["theorem-check", "--family", "haar"],
     ["theorem-check", "--family", "example2", "--theta", "angle:-1"],
-    # one sample per chunk, as every sweep has past n = 17
+    # both certificates fail at F16: the Jacobian SVD, then the eigenvalues
+    # of S, the path that sets the charge
+    ["theorem-check", "--family", "fourier"],
+    # one sample per chunk, as every sweep has past n = 18
     ["sweep", "--samples", "1"],
     ["verify-all"],
 ], ids=" ".join)
@@ -740,6 +743,41 @@ def test_failed_factorizations_fall_back(monkeypatch, capsys):
         31, 31, True)
     assert (out["certified"], out["berezin_certified"]) == (False, False)
     assert len(out["singular_values"]) == 256
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The shapes of the matrices theorem-check hands to cholesky, svd and
+    eigh, and the shapes of the stacks whose dense Jacobians it builds."""
+    calls = {"cholesky": [], "svd": [], "eigh": [], "_jacobians": []}
+    for module, name in [(np.linalg, "cholesky"), (np.linalg, "svd"), (np.linalg, "eigh"),
+                         (submersion, "_jacobians")]:
+        def counted(a, *args, _run=getattr(module, name), _shapes=calls[name], **kwargs):
+            _shapes.append(a.shape)
+            return _run(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certified_sample_builds_no_dense_jacobian(solver_calls, capsys):
+    # one factorization of the Jacobian's block Gram matrix (p = n^2 - n)
+    # and one of the Berezin side's, and nothing else
+    assert main(["theorem-check", "--family", "haar", "--n", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certified"] and out["berezin_certified"]
+    assert solver_calls == {"cholesky": [(1, 240, 240), (1, 256, 256)], "svd": [], "eigh": [],
+                            "_jacobians": []}
+
+
+def test_failed_certificate_builds_the_dense_jacobian_once(solver_calls, capsys):
+    # F4 has kernel 8: both certificates fail, and the dense Jacobian is
+    # built once, for its SVD
+    assert main(["theorem-check", "--family", "fourier", "--n", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert not out["certified"] and out["kernel_dim"] == 8
+    assert solver_calls == {"cholesky": [(1, 12, 12), (1, 16, 16)], "svd": [(1, 16, 16)],
+                            "eigh": [(16, 16)], "_jacobians": [(1, 4, 4)]}
 
 
 def test_csv_cluster_ids_match_clusters(capsys):

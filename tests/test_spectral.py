@@ -449,16 +449,23 @@ class TestCount:
         np.testing.assert_allclose(gram, np.eye(36), atol=1e-10)
 
 
-def eigenvalue_count(s):
+def eigenvalues_of(s, monkeypatch):
+    """spectral._eigenvalues of the symmetric unitary s, which need be the
+    S of no unitary matrix: standardized_matrix is patched to return it."""
+    monkeypatch.setattr(spectral, "standardized_matrix", lambda m: s)
+    return spectral._eigenvalues(None)
+
+
+def eigenvalue_count(s, monkeypatch):
     """The count of the eigenvalues of S, the certificate's fallback."""
-    return spectral.kernel_dim(np.abs(spectral._eigenvalues(s) - 1.0))
+    return spectral.kernel_dim(np.abs(eigenvalues_of(s, monkeypatch) - 1.0))
 
 
 class TestEigenvalueCount:
     """Where the certificate fails, the count is the rank rule's on the
     eigenvalues of S, which the pencil's spurious point does not move."""
 
-    def test_eigenvalues_at_a_spurious_point(self):
+    def test_eigenvalues_at_a_spurious_point(self, monkeypatch):
         # the pencil vanishes on the 3 eigenvectors of -e^{2 i phi} as on
         # the 5 of 1; the eigenvalues of S tell them apart
         spurious = -np.exp(2j * PENCIL_ANGLE)
@@ -466,10 +473,10 @@ class TestEigenvalueCount:
         lam = np.concatenate([np.ones(5), np.full(3, spurious),
                               np.exp(1j * np.array([0.4, 1.9, 2.6, -0.9, -1.6, -2.2, 3.0, 1.1]))])
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        assert eigenvalue_count((q * lam) @ q.T) == 5
+        assert eigenvalue_count((q * lam) @ q.T, monkeypatch) == 5
 
     @pytest.mark.parametrize("d", [0.0, 1e-7, 1e-5, 2e-5, 1e-3])
-    def test_eigenvalue_near_the_spurious_point(self, d):
+    def test_eigenvalue_near_the_spurious_point(self, d, monkeypatch):
         # S = Q diag(e^{i theta}) Q^T with 9 eigenvalues at 1 and one at
         # distance d along the circle from the spurious point z
         z = -np.exp(2j * PENCIL_ANGLE)
@@ -479,7 +486,7 @@ class TestEigenvalueCount:
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
         s = (q * lam) @ q.T
         oracle = spectral.kernel_dim(np.linalg.svd(s - np.eye(64), compute_uv=False))
-        assert eigenvalue_count(s) == oracle == 9
+        assert eigenvalue_count(s, monkeypatch) == oracle == 9
 
 
 class TestCertificate:
@@ -683,7 +690,7 @@ class TestEigenvaluesAgainstEigvals:
                             lambda a: shapes.append(a.shape) or real_eigvals(a))
         return shapes
 
-    def test_shared_pencil_value_takes_the_small_solve(self, eigvals_shapes):
+    def test_shared_pencil_value_takes_the_small_solve(self, eigvals_shapes, monkeypatch):
         """Two distinct eigenvalues a + ib with the same b + t (1 - a),
         t = tan(PENCIL_ANGLE), share one eigenvalue of the pencil;
         the columns eigh returns for it mix their eigenvectors, fail their
@@ -698,12 +705,12 @@ class TestEigenvaluesAgainstEigvals:
         assert abs((lam[0].imag + t * (1 - lam[0].real)) - (lam[2].imag + t * (1 - lam[2].real))) < 1e-15
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         s = (q * lam) @ q.T
-        got = spectral._eigenvalues(s)
+        got = eigenvalues_of(s, monkeypatch)
         assert eigvals_shapes == [(3, 3)]
         assert max_pairing_distance(got, lam) <= 1e-12
         assert spectral.kernel_dim(np.abs(got - 1.0)) == 0
 
-    def test_all_flagged_columns_take_one_solve(self, eigvals_shapes):
+    def test_all_flagged_columns_take_one_solve(self, eigvals_shapes, monkeypatch):
         """Three mixed pairs: two share a pencil value, and one has pencil
         values mu about 2e-6 apart.  A symmetric coupling of norm 1e-14
         between that pair's eigenvectors, the size of the rounding in a
@@ -724,7 +731,7 @@ class TestEigenvaluesAgainstEigvals:
         coupling = np.outer(q[:, 4], q[:, 5])
         s = (q * lam) @ q.T + 1e-14 * (coupling + coupling.T)
         assert flagged_columns(s) == 6
-        got = spectral._eigenvalues(s)
+        got = eigenvalues_of(s, monkeypatch)
         assert eigvals_shapes == [(6, 6)]
         assert max_pairing_distance(got, lam) <= 1e-12
 

@@ -20,6 +20,7 @@ from berezin_lab import (
     validate_unitary,
 )
 from berezin_lab.submersion import finite_difference_direction
+from test_spectral import fourier_product, perturbed
 
 
 # Haar seeds at n = 16 whose Jacobian the Cholesky certificate does not
@@ -261,6 +262,68 @@ class TestCholeskyCertificate:
         assert all(patched[i].certified and patched[i].berezin_certified for i in (0, 1, 3, 4, 5))
         assert {i: r.to_dict() for i, r in patched.items() if i != 2} == {
             i: r.to_dict() for i, r in rows.items() if i != 2}
+
+
+def dense_block_gram(m):
+    """G = A^T A and ||J' Q||_F formed from the dense Jacobian, as
+    submersion._block_gram forms them from its row blocks."""
+    n = m.shape[-1]
+    q = np.linalg.qr(submersion._right_phases(m))[0]
+    a = np.concatenate([submersion._jacobians(m)[..., n:], np.swapaxes(q, -1, -2)], axis=-2)
+    return np.swapaxes(a, -1, -2) @ a, np.linalg.norm(a[:, :n * n] @ q, axis=(-2, -1))
+
+
+GRAM_INPUTS = {
+    **{f"haar{n}": haar_random_unitary(n, seed=[25, n]).matrix for n in range(1, 17)},
+    **{f"F{n}": fourier_matrix(n).matrix for n in range(1, 17)},
+    **{f"symmetric{n} angle={a}": symmetric_family_matrix(n, np.exp(1j * a)).matrix
+       for n in (3, 5, 8, 12) for a in (-1.0, 0.7, 2.1)},
+}
+# the perturbed products of test_spectral's epsilon scan
+PERTURBED_INPUTS = {
+    f"{orders} eps={eps:g}": perturbed(fourier_product(*orders), eps).matrix
+    for orders in ((2, 2, 2), (4,), (6,))
+    for eps in [10.0**k * m for k in range(-11, -3) for m in (1, 3)] + [1e-3]
+}
+
+
+class TestBlockGram:
+    """The certificate forms G and ||J' Q||_F from J's row blocks; they equal
+    the dense A^T A and ||J' Q||_F to rounding, and give their verdicts."""
+
+    @pytest.mark.parametrize("name", GRAM_INPUTS)
+    def test_equals_the_dense_product(self, name):
+        m = GRAM_INPUTS[name][np.newaxis]
+        gram, residual = submersion._block_gram(m)
+        dense, dense_residual = dense_block_gram(m)
+        p = m.shape[-1] ** 2 - m.shape[-1]
+        assert gram.shape == dense.shape == (1, p, p)
+        bound = 1e-13 * np.trace(dense[0])
+        assert np.max(np.abs(gram - dense), initial=0.0) <= bound
+        assert abs(residual[0] - dense_residual[0]) <= bound
+
+    @pytest.mark.parametrize("name", [*GRAM_INPUTS, *PERTURBED_INPUTS])
+    def test_verdicts_equal_the_dense_formulas(self, name, monkeypatch):
+        m = {**GRAM_INPUTS, **PERTURBED_INPUTS}[name][np.newaxis]
+        verdict = submersion._certify(m)
+        monkeypatch.setattr(submersion, "_block_gram", dense_block_gram)
+        assert submersion._certify(m).tolist() == verdict.tolist()
+
+    def test_stack_equals_its_samples(self):
+        # the scatter offsets each sample of a stack by p^2
+        m = np.stack([GRAM_INPUTS[name] for name in ("haar4", "F4")]
+                     + [haar_random_unitary(4, seed=[26, i]).matrix for i in range(3)])
+        gram, residual = submersion._block_gram(m)
+        for i in range(len(m)):
+            alone = submersion._block_gram(m[i:i + 1])
+            np.testing.assert_array_equal(gram[i], alone[0][0])
+            assert residual[i] == alone[1][0]
+
+    def test_n1_certifies_an_empty_gram_matrix(self):
+        m = haar_random_unitary(1, seed=27).matrix[np.newaxis]
+        gram, residual = submersion._block_gram(m)
+        assert gram.shape == (1, 0, 0) and residual.tolist() == [0.0]
+        assert submersion._certify(m).tolist() == [True]
 
 
 class TestFiniteDifferences:
