@@ -13,9 +13,10 @@ S q_j = (a_j + i b_j) q_j.  The eigenvalues of S come from the eigenvectors
 of one real symmetric pencil of X and Y and one small solve of those that
 fail their residual check.  The multiplicity of 1 is 2n - 1, the dimension
 of the sum symbols every Berezin transform fixes, wherever one Cholesky
-factorization of 2 (I - X) plus the projector onto those symbols proves it;
-any other count is taken from the eigenvalues of S.  The spectrum's cluster
-at 1 holds exactly the eigenvalues that count.
+factorization of 2 (I - X) plus a rank 2n - 1 term on those symbols, formed
+entry by entry with no QR, proves it; any other count is taken from the
+eigenvalues of S.  The spectrum's cluster at 1 holds exactly the
+eigenvalues that count.
 """
 
 from __future__ import annotations
@@ -182,18 +183,58 @@ def _cholesky_succeeds(a: np.ndarray) -> np.ndarray:
     return factored
 
 
-def _sum_symbols(m: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the sum symbols a_k + b_l in the
-    standardized coordinates of each unitary of a (samples, n, n) stack,
-    the 2n - 1 directions every S fixes, as a (samples, n^2, 2n - 1) stack:
-    |u| times the n row indicators and the column indicators l = 1..n-1
-    (that of column 0 is the sum of the rows' less theirs), orthonormalized
-    by one stacked QR."""
-    n = m.shape[-1]
-    w = np.abs(m)[..., np.newaxis]
-    eye = np.eye(n)
-    v = np.concatenate([w * eye[:, np.newaxis, :], w * eye[np.newaxis, :, 1:]], axis=-1)
-    return np.linalg.qr(v.reshape(len(m), n * n, 2 * n - 1))[0]
+def _sum_symbol_residual(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||(S - I) V'||_F for each S of a (samples, n^2, n^2) stack, with
+    w = |u| of its unitary and V' = W [R | C'] as in _multiplicity, as a
+    (samples,) array.  As S = S^T it is ||V'^T (S - I)||_F, and the row of
+    V'^T S of row indicator k' (column indicator l') is the sum of the rows
+    (k', l) of S (the rows (k, l')) weighted by w: one batched gemv per
+    indicator over the real view of S, with no complex temporary."""
+    count, n = w.shape[:-1]
+    rows = s.view(np.float64).reshape(count, n, n, 2 * n * n)  # rows[k', l'] of S
+    vs = np.empty((count, 2 * n - 1, 1, 2 * n * n))
+    np.matmul(w[..., np.newaxis, :], rows, out=vs[:, :n])
+    np.matmul(np.swapaxes(w, -1, -2)[:, 1:, np.newaxis, :], np.swapaxes(rows, 1, 2)[:, 1:],
+              out=vs[:, n:])
+    # less V'^T: w[k', l] at the real part of (k', l) in row k', and w[k, l']
+    # at (k, l') in row l'
+    real = vs.reshape(count, 2 * n - 1, n, n, 2)[..., 0]
+    own_row = np.einsum("skkl->skl", real[:, :n])
+    own_row -= w
+    own_col = np.einsum("sjkj->sjk", real[:, n:, :, 1:])
+    own_col -= np.swapaxes(w[..., 1:], -1, -2)
+    flat = vs.reshape(count, -1)
+    return np.sqrt(np.einsum("si,si->s", flat, flat))
+
+
+def _add_sum_symbol_term(g: np.ndarray, w: np.ndarray) -> None:
+    """Add V V^T[(k,l),(k',l')] = w_kl w_k'l' (delta_kk' + delta_ll') in
+    place to each matrix of the (samples, n^2, n^2) stack g, w = |u| of
+    its unitary and V as in _multiplicity: the products of each row's
+    entries on the diagonal blocks k = k', then those of each column's on
+    the entries l = l', through two diagonal views of g."""
+    count, n = w.shape[:-1]
+    g4 = g.reshape(count, n, n, n, n)
+    same_row = np.einsum("sklkm->sklm", g4)
+    same_row += w[..., np.newaxis] * w[..., np.newaxis, :]
+    wt = np.swapaxes(w, -1, -2)
+    same_col = np.einsum("sklml->slkm", g4)
+    same_col += wt[..., np.newaxis] * wt[..., np.newaxis, :]
+
+
+def _sum_symbol_floor(p: np.ndarray) -> np.ndarray:
+    """A lower bound on sigma_min(V')^2 for each P = |u|^2 of a
+    (samples, n, n) stack, V' as in _multiplicity, in closed form.
+    V'^T V' = [[diag(r), P'], [P'^T, diag(c')]], with r the row sums of P,
+    P' its columns l = 1..n-1 and c' their sums, so its least eigenvalue is
+    at least min(r, c') - sigma_1(P'); sigma_1(P')^2, the largest eigenvalue
+    of the nonnegative P'^T P', is at most its largest row sum, the largest
+    entry of P'^T P' 1.  For the Fourier matrix the bound is exact,
+    1 - sqrt(1 - 1/n)."""
+    rest = p[..., 1:]
+    spread = rest.sum(axis=-1)[..., np.newaxis, :] @ rest
+    least = np.concatenate([p.sum(axis=-1), rest.sum(axis=-2)], axis=-1).min(axis=-1)
+    return least - np.sqrt(spread.max(axis=(-2, -1), initial=0.0))
 
 
 def _multiplicity(m: np.ndarray) -> tuple[list, list]:
@@ -203,58 +244,73 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     as two lists.  The stack of S is freed before the factorization, and
     S is built again for each sample the certificate fails.
 
-    Q is the orthonormal basis of the 2n - 1 sum symbols (_sum_symbols).
-    As S = S^T, 2 (I - X) = (S - I)* (S - I) - (S* S - I).  Cholesky of
-    G - c I, G = 2 (I - X) + Q Q^T, succeeding proves that
-    (S - I)* (S - I) + Q Q^T has no eigenvalue below CLUSTER_TOL^2 (shift
-    below); Q Q^T has rank 2n - 1, so by interlacing S - I has at most
-    2n - 1 singular values below CLUSTER_TOL.  ||(S - I) Q||_F below
-    CLUSTER_TOL gives it 2n - 1 of them: exactly 2n - 1, the count the
-    eigenvalues of S make to within their rounding.  Any other sample's
-    count is the rank rule's on the eigenvalues of its S.
+    V = W [R | C], W = diag(|u|), R and C the n row and n column
+    indicators of the coordinates (k, l): the sum symbols a_k + b_l in the
+    coordinates of S, the 2n - 1 directions every S fixes (R and C have
+    the same sum).  V V^T[(k,l),(k',l')] = |u_kl| |u_k'l'| (delta_kk' +
+    delta_ll') has rank 2n - 1, and is added in place to -2 X on its
+    2n^3 - n^2 nonzeros: no QR and no product.  As S = S^T,
+    2 (I - X) = (S - I)* (S - I) - (S* S - I).  Cholesky of G - c I,
+    G = 2 (I - X) + V V^T, succeeding proves that
+    (S - I)* (S - I) + V V^T has no eigenvalue below CLUSTER_TOL^2 (shift
+    below), so by interlacing S - I has at most 2n - 1 singular values
+    below CLUSTER_TOL.  V', V without the column indicator of l = 0, is a
+    basis of the sum symbols, and ||(S - I) V'||_F (_sum_symbol_residual)
+    below CLUSTER_TOL sigma_min(V') (_sum_symbol_floor) bounds
+    ||(S - I) x|| below CLUSTER_TOL for every unit x they span: S - I has
+    2n - 1 singular values below CLUSTER_TOL, so exactly 2n - 1, the count
+    the eigenvalues of S make to within their rounding.  Any other
+    sample's count is the rank rule's on the eigenvalues of its S.
+
+    V is not orthonormal: on its range, where 2 (I - X) vanishes, G has
+    the eigenvalues of V^T V = [[I, P], [P^T, I]], P = |u|^2, which are
+    1 +- sigma_i(P).  So the certificate also needs 1 - sigma_2(P) above
+    the shift.  Haar samples clear it by far (1 - sigma_2(P) was at least
+    0.46 over 200 samples at n = 16, 0.022 at n = 4), but near a direct
+    sum, u = exp(eps A) (U_1 (+) U_2), it is of order eps^2 (4 to 16 eps^2
+    in the tests' examples), and below eps of about 1e-6 the certificate
+    fails and the eigenvalues count.
 
     The shift, for N = n^2, f = ||u||_F^2 and
     d = ||fl(u* u) - I||_F + gamma_{2n+16} f, is
         c = 2 ((gamma_{N+1} / (1 - gamma_{N+1}) + u) tr G
-               + gamma_{2n+2} (2n + 1 + 2 f) + d (2 + d)) + CLUSTER_TOL^2.
+               + gamma_4 (4 f + 2) + d (2 + d)) + CLUSTER_TOL^2.
     The first term is Rump's bound for the factorization and the rounding
     of the subtraction on the diagonal, as in submersion._certify.
-    Forming fl(Q Q^T) - X - X + (2 - c) I, 2n + 2 terms an entry, rounds
-    it by at most gamma_{2n+2} times |Q| |Q|^T + 2 |X| + 2 I, whose norm is
-    at most ||Q||_F^2 + 2 ||S||_F + 2 = 2n + 1 + 2 f.  Last, ||S* S - I||_2:
-    S* S = conj(P) ((u u*)^T (x) u* u) P with P = diag(|u| / u), so the S
-    of u has its singular values within delta = ||u* u - I||_2 of 1; the
-    S at hand differs from it by at most gamma_16 f in norm, its entries
-    being rounded by under gamma_16 relative (_ENTRY_ROUNDINGS), and
-    fl(u* u) errs by at most gamma_{2n} f.  So d bounds the distance of
-    the singular values of S from 1, and ||S* S - I||_2 <= d (2 + d).  The
-    factor 2 covers the rounding in d, f, tr G and c, relative and under
-    1e-13, and Rump's underflow term, under 1e-300 here.  sqrt(c) is
-    5.5e-6 at n = 16, for a unitary u, where tr G = 2 n^2 - 1."""
-    n = m.shape[-1]
+    Forming G - c I: -2 X is exact, and each entry adds to it at most two
+    rounded products and, on the diagonal, 2 - c, four terms at most,
+    which round it by at most gamma_4 times 2 |X| + V V^T + 2 I; that
+    matrix's norm is at most 2 ||S||_F + tr(V V^T) + 2 = 4 f + 2.  Last,
+    ||S* S - I||_2: S* S = conj(D) ((u u*)^T (x) u* u) D with
+    D = diag(|u| / u), so the S of u has its singular values within
+    delta = ||u* u - I||_2 of 1; the S at hand differs from it by at most
+    gamma_16 f in norm, its entries being rounded by under gamma_16
+    relative (_ENTRY_ROUNDINGS), and fl(u* u) errs by at most
+    gamma_{2n} f.  So d bounds the distance of the singular values of S
+    from 1, and ||S* S - I||_2 <= d (2 + d).  The factor 2 covers the
+    rounding in d, f, tr G and c, relative and under 1e-13, and Rump's
+    underflow term, under 1e-300 here.  sqrt(c) is 5.5e-6 at n = 16, for
+    a unitary u, where tr G = 2 n^2."""
+    count, n = m.shape[:-1]
     size, rank = n * n, 2 * n - 1
+    w = np.abs(m)
+    p = w * w
     s = standardized_matrix(m)
-    qt = np.swapaxes(_sum_symbols(m), -1, -2)
-    # Q^T S = (S Q)^T as S = S^T: Q^T X and Q^T Y interleaved, from the
-    # real view of S with no complex temporary
-    sq = qt @ s.view(np.float64)
-    sq[..., ::2] -= qt
-    residual = np.linalg.norm(sq, axis=(-2, -1))
-    del sq
-    g = np.swapaxes(qt, -1, -2) @ qt
-    g -= s.real
-    g -= s.real
-    del s, qt  # before the factorization
-    f = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    residual = _sum_symbol_residual(s, w)
+    g = np.multiply(s.real, -2.0)
+    del s  # before the factorization
+    _add_sum_symbol_term(g, w)
+    f = np.sum(p, axis=(-2, -1))
     d = (np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(n), axis=(-2, -1))
          + _gamma(2 * n + _ENTRY_ROUNDINGS) * f)
     rump = _gamma(size + 1)
     trace = np.trace(g, axis1=-2, axis2=-1) + 2.0 * size
     shift = 2.0 * ((rump / (1.0 - rump) + _UNIT_ROUNDOFF) * trace
-                   + _gamma(rank + 3) * (rank + 2 + 2.0 * f) + d * (2.0 + d)) + CLUSTER_TOL**2
+                   + _gamma(4) * (4.0 * f + 2.0) + d * (2.0 + d)) + CLUSTER_TOL**2
     diag = np.arange(size)
     g[:, diag, diag] += (2.0 - shift)[:, np.newaxis]
-    certified = _cholesky_succeeds(g) & (residual < CLUSTER_TOL)
+    certified = (_cholesky_succeeds(g)
+                 & (residual**2 < CLUSTER_TOL**2 * _sum_symbol_floor(p)))
     del g  # before the eigenvalues of any sample are taken
     counts = [rank if ok else kernel_dim(np.abs(_eigenvalues(m[i]) - 1.0))
               for i, ok in enumerate(certified)]

@@ -26,8 +26,9 @@ from .spectral import (
 # certificate fails takes its count from the eigenvalues of its S, as
 # spectrum does, and peaks with spectrum (32.7, 32.3 and 32.2 at n = 12, 16
 # and 20): S (16 n^4) beside the pencil and a copy of Y, which are all that
-# is kept of S through the solve.  Any other sample peaks at 29.6, 25.1 and
-# 24.8: S beside G (8 n^4), which is factored once S is freed.  The
+# is kept of S through the solve.  Any other sample peaks at 29.6, 24.1 and
+# 24.1: S beside G (8 n^4), which is factored once S is freed, or at n = 12
+# the product that forms S, with its operands and numpy's fixed buffer.  The
 # Jacobian side peaks at 14.1 to 14.8 n^4, its Gram matrix beside the
 # scattered blocks or the factor, or at 8 n^4 for the Jacobian of the SVD,
 # and frees them before the Berezin side runs.  A sweep chunk and the CLI's

@@ -747,11 +747,11 @@ def test_failed_factorizations_fall_back(monkeypatch, capsys):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """The shapes of the matrices theorem-check hands to cholesky, svd and
-    eigh, and the shapes of the stacks whose dense Jacobians it builds."""
-    calls = {"cholesky": [], "svd": [], "eigh": [], "_jacobians": []}
+    """The shapes of the matrices theorem-check hands to cholesky, svd, eigh
+    and qr, and the shapes of the stacks whose dense Jacobians it builds."""
+    calls = {"cholesky": [], "svd": [], "eigh": [], "qr": [], "_jacobians": []}
     for module, name in [(np.linalg, "cholesky"), (np.linalg, "svd"), (np.linalg, "eigh"),
-                         (submersion, "_jacobians")]:
+                         (np.linalg, "qr"), (submersion, "_jacobians")]:
         def counted(a, *args, _run=getattr(module, name), _shapes=calls[name], **kwargs):
             _shapes.append(a.shape)
             return _run(a, *args, **kwargs)
@@ -762,12 +762,14 @@ def solver_calls(monkeypatch):
 
 def test_certified_sample_builds_no_dense_jacobian(solver_calls, capsys):
     # one factorization of the Jacobian's block Gram matrix (p = n^2 - n)
-    # and one of the Berezin side's, and nothing else
+    # and one of the Berezin side's, and nothing else; the QRs are the Haar
+    # draw's and the Jacobian side's basis of the n - 1 right phases, and
+    # the Berezin side runs none
     assert main(["theorem-check", "--family", "haar", "--n", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certified"] and out["berezin_certified"]
     assert solver_calls == {"cholesky": [(1, 240, 240), (1, 256, 256)], "svd": [], "eigh": [],
-                            "_jacobians": []}
+                            "qr": [(16, 16), (1, 240, 15)], "_jacobians": []}
 
 
 def test_failed_certificate_builds_the_dense_jacobian_once(solver_calls, capsys):
@@ -777,7 +779,7 @@ def test_failed_certificate_builds_the_dense_jacobian_once(solver_calls, capsys)
     out = json.loads(capsys.readouterr().out)
     assert not out["certified"] and out["kernel_dim"] == 8
     assert solver_calls == {"cholesky": [(1, 12, 12), (1, 16, 16)], "svd": [(1, 16, 16)],
-                            "eigh": [(16, 16)], "_jacobians": [(1, 4, 4)]}
+                            "eigh": [(16, 16)], "qr": [(1, 12, 3)], "_jacobians": [(1, 4, 4)]}
 
 
 def test_csv_cluster_ids_match_clusters(capsys):

@@ -58,10 +58,13 @@ def test_imported_modules_sees_every_spelling(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_sum_symbols_span_the_e_subspace(n):
-    # spectral builds its own basis of the sum symbols; it spans |u| times
-    # the symbols a_k + b_l of symbols.e_subspace_basis
+    # spectral builds its own rank 2n - 1 term V V^T on the sum symbols;
+    # its range is |u| times the symbols a_k + b_l of
+    # symbols.e_subspace_basis
     u = haar_random_unitary(n, seed=[33, n]).matrix
-    q = spectral._sum_symbols(u[np.newaxis])[0]
-    v = (np.abs(u) * e_subspace_basis(n).real).reshape(2 * n - 1, n * n).T
-    assert np.linalg.matrix_rank(v) == q.shape[1] == 2 * n - 1
-    np.testing.assert_allclose(q @ (q.T @ v), v, rtol=0, atol=1e-14)
+    term = np.zeros((1, n * n, n * n))
+    spectral._add_sum_symbol_term(term, np.abs(u)[np.newaxis])
+    e = (np.abs(u) * e_subspace_basis(n).real).reshape(2 * n - 1, n * n).T
+    assert np.linalg.matrix_rank(term[0]) == np.linalg.matrix_rank(e) == 2 * n - 1
+    q = np.linalg.qr(e)[0]
+    np.testing.assert_allclose(q @ (q.T @ term[0]), term[0], rtol=0, atol=1e-14)

@@ -260,6 +260,15 @@ def f2_cubed_perturbed(eps):
     return perturbed(np.kron(np.kron(f2, f2), f2), eps)
 
 
+def near_direct_sum(a, b, eps):
+    """Haar U_1 (+) U_2 of sizes a and b, left-multiplied by exp(eps X) as
+    in perturbed: a unitary near a direct sum."""
+    blocks = np.zeros((a + b, a + b), dtype=complex)
+    blocks[:a, :a] = haar_random_unitary(a, seed=[41, a]).matrix
+    blocks[a:, a:] = haar_random_unitary(b, seed=[42, b]).matrix
+    return perturbed(blocks, eps)
+
+
 def singular_values_of_s_minus_one(u, value=1.0):
     """The singular values of S - value I, the distances |lambda - value|."""
     s = standardized_matrix(u.matrix)
@@ -490,10 +499,10 @@ class TestEigenvalueCount:
 
 
 class TestCertificate:
-    """One Cholesky factorization of 2 (I - X) + Q Q^T, Q a basis of the
+    """One Cholesky factorization of 2 (I - X) + V V^T, V spanning the
     2n - 1 sum symbols every Berezin transform fixes, certifies the generic
     count, and the eigenvalues of S, from one eigh, count only where it
-    fails; no path runs eigvalsh."""
+    fails; no path runs eigvalsh, and the certificate runs no QR."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -519,10 +528,17 @@ class TestCertificate:
     def factorizations(self, monkeypatch):
         return self._count(monkeypatch, "cholesky")
 
-    def test_one_factorization_for_haar(self, solves, eigh_solves, factorizations):
-        assert eigenvalue_multiplicities(haar_random_unitary(16, seed=18).matrix) == (31, True)
+    @pytest.fixture
+    def orthonormalizations(self, monkeypatch):
+        return self._count(monkeypatch, "qr")
+
+    def test_one_factorization_for_haar(self, solves, eigh_solves, factorizations,
+                                        orthonormalizations):
+        u = haar_random_unitary(16, seed=18)
+        orthonormalizations.clear()  # the draw's own
+        assert eigenvalue_multiplicities(u.matrix) == (31, True)
         assert factorizations == [(1, 256, 256)]
-        assert solves == eigh_solves == []
+        assert solves == eigh_solves == orthonormalizations == []
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_fourier(self, n, solves, eigh_solves, factorizations):
@@ -592,7 +608,7 @@ class TestCertificate:
     def test_margin(self, eps, certified, eigh_solves):
         # F2 x F2 x F2 perturbed by eps has the generic count 15, and S - I
         # a 16th singular value of about 0.12 eps: below the margin
-        # sqrt(c) = 1.45e-6 at n = 8, the certificate fails and one eigh
+        # sqrt(c) = 1.42e-6 at n = 8, the certificate fails and one eigh
         # counts 15; above it, the certificate gives 15
         u = f2_cubed_perturbed(eps)
         assert 0.12 * eps < np.sort(singular_values_of_s_minus_one(u))[15] < 0.13 * eps
@@ -606,17 +622,32 @@ class TestCertificate:
         assert_count(haar_random_unitary(16, seed=seed))
 
 
+def sum_symbols(m):
+    """V = |u| times the n row indicators and the n column indicators of
+    the coordinates (k, l), densely, as an (n^2, 2n) array."""
+    n = m.shape[-1]
+    eye = np.eye(n)
+    w = np.abs(m)[..., np.newaxis]
+    v = np.concatenate([w * eye[:, np.newaxis, :], w * eye[np.newaxis, :, :]], axis=-1)
+    return v.reshape(n * n, 2 * n)
+
+
+def sum_symbol_basis(m):
+    """V', V without the column indicator of l = 0: the certificate's basis
+    of the 2n - 1 sum symbols, densely."""
+    return np.delete(sum_symbols(m), m.shape[-1], axis=1)
+
+
 def sum_symbol_residual(u):
-    """||(S - I) Q||_F for the orthonormal basis Q of the sum symbols."""
+    """||(S - I) V'||_F as the certificate takes it."""
     m = u.matrix[np.newaxis]
-    q = spectral._sum_symbols(m)[0]
-    return np.linalg.norm(standardized_matrix(m)[0] @ q - q)
+    return spectral._sum_symbol_residual(standardized_matrix(m), np.abs(m))[0]
 
 
 class TestSumSymbolsAreFixed:
     """The premise of the certificate: S fixes the 2n - 1 sum symbols to
-    rounding, ||(S - I) Q||_F far below CLUSTER_TOL, on every input the
-    tool meets."""
+    rounding, ||(S - I) V'||_F far below CLUSTER_TOL sigma_min(V'), on
+    every input the tool meets."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
@@ -634,11 +665,131 @@ class TestSumSymbolsAreFixed:
     def test_symmetric_family(self, n, angle):
         assert sum_symbol_residual(symmetric_family_matrix(n, np.exp(1j * angle))) < 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_basis_is_orthonormal(self, n):
-        q = spectral._sum_symbols(haar_random_unitary(n, seed=n).matrix[np.newaxis])[0]
-        assert q.shape == (n * n, 2 * n - 1)
-        np.testing.assert_allclose(q.T @ q, np.eye(2 * n - 1), rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_residual_is_the_dense_norm(self, n):
+        # on a complex symmetric S that fixes nothing, and weights that are
+        # no unitary's, the block sums give the dense ||(S - I) V'||_F
+        rng = np.random.default_rng([45, n])
+        a = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        w = rng.uniform(0.1, 1.0, (n, n))
+        v = sum_symbol_basis(w)
+        dense = np.linalg.norm((a + a.T) @ v - v)
+        residual = spectral._sum_symbol_residual((a + a.T)[np.newaxis], w[np.newaxis])
+        np.testing.assert_allclose(residual, [dense], rtol=1e-13)
+
+    @pytest.mark.parametrize("u", [
+        *(haar_random_unitary(n, seed=[46, n]) for n in range(1, 17)),
+        *(fourier_matrix(n) for n in range(1, 17)),
+        *(symmetric_family_matrix(n, np.exp(1j * a)) for n in (3, 8, 12) for a in (-1.0, 0.7)),
+        *(near_direct_sum(2, 2, eps) for eps in (1e-2, 1e-7)),
+    ], ids=[*(f"haar{n}" for n in range(1, 17)), *(f"F{n}" for n in range(1, 17)),
+            *(f"symmetric{n} angle={a}" for n in (3, 8, 12) for a in (-1.0, 0.7)),
+            "2+2 eps=1e-2", "2+2 eps=1e-7"])
+    def test_floor_is_at_most_sigma_min(self, u):
+        # the closed-form bound never exceeds sigma_min(V')^2 from the SVD
+        floor = spectral._sum_symbol_floor(np.abs(u.matrix[np.newaxis]) ** 2)[0]
+        least = np.linalg.svd(sum_symbol_basis(u.matrix), compute_uv=False)[-1] ** 2
+        assert floor <= least * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_floor_is_exact_for_fourier(self, n):
+        m = fourier_matrix(n).matrix
+        floor = spectral._sum_symbol_floor(np.abs(m[np.newaxis]) ** 2)[0]
+        least = np.linalg.svd(sum_symbol_basis(m), compute_uv=False)[-1] ** 2
+        np.testing.assert_allclose([floor, least], 1.0 - np.sqrt(1.0 - 1.0 / n), rtol=1e-12)
+
+
+def factored(m, monkeypatch):
+    """The stack of matrices _multiplicity hands to its factorization for
+    the stack of unitaries m, whether each one factored, and the counts
+    and flags _multiplicity returns."""
+    seen = []
+    real = spectral._cholesky_succeeds
+    monkeypatch.setattr(spectral, "_cholesky_succeeds",
+                        lambda g: seen.append((g.copy(), real(g))) or seen[-1][1])
+    result = spectral._multiplicity(m)
+    return *seen[0], result
+
+
+GRAM_INPUTS = {
+    **{f"haar{n}": (lambda n=n: haar_random_unitary(n, seed=[47, n])) for n in range(1, 17)},
+    **{f"F{n}": (lambda n=n: fourier_matrix(n)) for n in range(1, 17)},
+    **{f"symmetric{n} angle={a}": (lambda n=n, a=a: symmetric_family_matrix(n, np.exp(1j * a)))
+       for n in (3, 5, 8, 12, 16) for a in (-1.4, -1.0, 0.7, 2.1)},
+}
+
+
+class TestClosedFormGram:
+    """The certificate adds V V^T to -2 X entry by entry; the matrix it
+    factors is the dense 2 (I - X) + V V^T less one shift c."""
+
+    @pytest.mark.parametrize("name", GRAM_INPUTS)
+    def test_equals_the_dense_formula(self, name, monkeypatch):
+        m = GRAM_INPUTS[name]().matrix
+        g = factored(m[np.newaxis], monkeypatch)[0][0]
+        s = standardized_matrix(m)
+        v = sum_symbols(m)
+        dense = 2.0 * (np.eye(len(s)) - s.real) + v @ v.T
+        off = ~np.eye(len(s), dtype=bool)
+        np.testing.assert_array_equal(g[off], dense[off])
+        # the diagonal is the dense one less c, to its rounding
+        shift = np.diag(dense) - np.diag(g)
+        assert CLUSTER_TOL**2 < np.min(shift) and np.max(shift) < 1e-10
+        assert np.ptp(shift) <= 8 * 2.0**-52 * np.max(np.abs(np.diag(dense)))
+
+    def test_stack_equals_its_samples(self, monkeypatch):
+        m = np.stack([GRAM_INPUTS[name]().matrix for name in ("haar4", "F4")]
+                     + [haar_random_unitary(4, seed=[48, i]).matrix for i in range(3)])
+        stacked, _, result = factored(m, monkeypatch)
+        assert result == ([7, 8, 7, 7, 7], [True, False, True, True, True])
+        for i in range(len(m)):
+            np.testing.assert_array_equal(stacked[i], factored(m[i:i + 1], monkeypatch)[0][0])
+
+    def test_n1(self, monkeypatch):
+        # G = 2 (1 - |u|^2) + 2 |u|^2 = 2, and the one sum symbol is fixed
+        m = haar_random_unitary(1, seed=49).matrix[np.newaxis]
+        g, _, result = factored(m, monkeypatch)
+        assert g.shape == (1, 1, 1) and 2.0 - 1e-12 < g[0, 0, 0] < 2.0
+        assert result == ([1], [True])
+
+    @pytest.mark.parametrize("n, eta", [(4, 1e-10), (4, 3e-10), (4, 1e-9),
+                                        (16, 3e-11), (16, 1e-10), (16, 3e-10), (16, 1e-9)])
+    def test_residual_is_weighed_by_sigma_min(self, n, eta, monkeypatch):
+        # (1 + eta) u is no unitary: its S fixes the sum symbols only to
+        # about eta, while G still factors.  The certificate passes exactly
+        # where ||(S - I) V'||_F < CLUSTER_TOL sigma_min(V'), which at
+        # sigma_min(V') of 0.17 to 0.33 is well short of CLUSTER_TOL
+        m = haar_random_unitary(n, seed=[44, n]).matrix * (1.0 + eta)
+        _, factors, ([count], [certified]) = factored(m[np.newaxis], monkeypatch)
+        assert factors.tolist() == [True]
+        s = standardized_matrix(m)
+        v = sum_symbol_basis(m)
+        premise = (np.linalg.norm(s @ v - v)
+                   < CLUSTER_TOL * np.linalg.svd(v, compute_uv=False)[-1])
+        assert certified == premise
+        assert count == spectral.kernel_dim(
+            np.linalg.svd(s - np.eye(n * n), compute_uv=False)) == 2 * n - 1
+
+
+class TestNearDirectSum:
+    """Near a direct sum U_1 (+) U_2, P = |u|^2 has a second singular value
+    near 1, and V V^T an eigenvalue 1 - sigma_2(P) of order eps^2 on the
+    sum symbols: below the shift the certificate fails, and the
+    eigenvalues of S count 2n - 1."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 5), (8, 8)], ids=str)
+    def test_count(self, sizes, eps):
+        u = near_direct_sum(*sizes, eps)
+        certified = assert_count(u)
+        assert svd_count(u) == 2 * u.n - 1
+        # 1 - sigma_2(P) is 4.2, 7.6 and 15.9 eps^2 here
+        gap = 1.0 - np.linalg.svd(np.abs(u.matrix) ** 2, compute_uv=False)[1]
+        assert 4.0 * eps**2 < gap < 17.0 * eps**2
+        if eps >= 1e-5:
+            assert certified
+        if eps <= 1e-7:
+            assert not certified
 
 
 class TestSpectrumCountAgainstCertifiedCount:
