@@ -28,7 +28,6 @@ from .symbols import (
     build_berezin,
     c_symbol_to_operator,
     d_symbol_to_operator,
-    e_subspace_basis,
     operator_to_c_symbol,
     operator_to_d_symbol,
 )
@@ -38,7 +37,6 @@ from .symmetry import (
     check_weyl_relations,
     fourier_eigenfunction_check,
     fourier_matrix,
-    invariant_pair_count,
     isotypic_clusters,
     symmetric_family_matrix,
     verify_symmetric_family_spectrum,

@@ -158,29 +158,58 @@ def _pencil(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma(k: int) -> float:
+def higham_gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _cholesky_succeeds(a: np.ndarray) -> np.ndarray:
-    """Whether np.linalg.cholesky runs to completion on each symmetric
-    matrix of a (samples, p, p) stack: the stack is factored in one call,
-    and each sample of a larger stack on its own only when that call fails."""
+def certified_kernel(g: np.ndarray, slack, residual, floor) -> np.ndarray:
+    """Whether a matrix T with p columns provably has exactly r singular
+    values below CLUSTER_TOL, for each sample of a (samples, p, p) stack g,
+    as a (samples,) bool array, from one Cholesky factorization and no
+    eigensolve; g is overwritten.  The certificate of both pipelines.
+
+    K is a basis of r directions T should annihilate.  g must hold
+    T* T + E to within slack in the 2-norm, E positive semidefinite of
+    rank at most r (K K^T, or another such term on span K); residual is
+    ||T K||_F and floor at most sigma_min(K)^2.  slack, residual and floor
+    are (samples,) arrays or numbers.
+
+    The shift, for Higham's gamma and u the unit roundoff, is
+        c = 2 ((gamma_{p+1} / (1 - gamma_{p+1}) + u) tr g + slack)
+            + CLUSTER_TOL^2.
+    Cholesky of fl(g - c I) runs to completion only if that matrix has no
+    eigenvalue below -gamma_{p+1} / (1 - gamma_{p+1}) tr g (Rump,
+    "Verification of positive definiteness", BIT 46, 2006, from the
+    backward error gamma_{p+1} |R^T| |R| of a Cholesky factor R), and the
+    subtraction rounds the diagonal by at most u tr g.  So success proves
+    that T* T + E has no eigenvalue below CLUSTER_TOL^2; the factor 2
+    covers Rump's underflow term, under 1e-300 here, and the rounding in
+    tr g, slack and c, relative and under 1e-13.  Then |T x| is at least
+    CLUSTER_TOL on ker E, of codimension at most r: by interlacing, T has
+    at most r singular values below CLUSTER_TOL.  And residual^2 below
+    CLUSTER_TOL^2 floor bounds |T x| below CLUSTER_TOL for every unit x
+    that K spans, so T has r of them, exactly r.  A floor at or below 0
+    certifies nothing.  The stack is factored in one call, and each sample
+    of a larger stack on its own only when that call fails."""
+    p = g.shape[-1]
+    rump = higham_gamma(p + 1)
+    trace = np.trace(g, axis1=-2, axis2=-1)
+    shift = 2.0 * ((rump / (1.0 - rump) + _UNIT_ROUNDOFF) * trace + slack) + CLUSTER_TOL**2
+    diag = np.arange(p)
+    g[:, diag, diag] -= shift[:, np.newaxis]
+    factored = np.ones(len(g), dtype=bool)
     try:
-        np.linalg.cholesky(a)
-        return np.ones(len(a), dtype=bool)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-    # a stack fails as a whole: factor each sample on its own
-    factored = np.ones(len(a), dtype=bool)
-    for i in range(len(a)):
-        try:
-            np.linalg.cholesky(a[i])
-        except np.linalg.LinAlgError:
-            factored[i] = False
-    return factored
+        factored[:] = False
+        for i in range(len(g) if len(g) > 1 else 0):  # a stack of one has failed already
+            try:
+                np.linalg.cholesky(g[i])
+                factored[i] = True
+            except np.linalg.LinAlgError:
+                pass
+    return factored & (residual**2 < CLUSTER_TOL**2 * floor)
 
 
 def _sum_symbol_residual(s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -203,8 +232,7 @@ def _sum_symbol_residual(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     own_row -= w
     own_col = np.einsum("sjkj->sjk", real[:, n:, :, 1:])
     own_col -= np.swapaxes(w[..., 1:], -1, -2)
-    flat = vs.reshape(count, -1)
-    return np.sqrt(np.einsum("si,si->s", flat, flat))
+    return np.sqrt(np.einsum("sijk,sijk->s", vs, vs))
 
 
 def _add_sum_symbol_term(g: np.ndarray, w: np.ndarray) -> None:
@@ -240,45 +268,24 @@ def _sum_symbol_floor(p: np.ndarray) -> np.ndarray:
 def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     """For each unitary of a (samples, n, n) stack whose entries are all
     nonzero, with S its standardized matrix: the number of eigenvalues of
-    S within CLUSTER_TOL of 1, and whether the certificate below gave it,
-    as two lists.  The stack of S is freed before the factorization, and
-    S is built again for each sample the certificate fails.
+    S within CLUSTER_TOL of 1, and whether certified_kernel gave it, as
+    two lists.  The stack of S is freed before the factorization, and S is
+    built again for each sample the certificate fails, whose count is the
+    rank rule's on the eigenvalues of its S.
 
     V = W [R | C], W = diag(|u|), R and C the n row and n column
     indicators of the coordinates (k, l): the sum symbols a_k + b_l in the
     coordinates of S, the 2n - 1 directions every S fixes (R and C have
-    the same sum).  V V^T[(k,l),(k',l')] = |u_kl| |u_k'l'| (delta_kk' +
-    delta_ll') has rank 2n - 1, and is added in place to -2 X on its
-    2n^3 - n^2 nonzeros: no QR and no product.  As S = S^T,
-    2 (I - X) = (S - I)* (S - I) - (S* S - I).  Cholesky of G - c I,
-    G = 2 (I - X) + V V^T, succeeding proves that
-    (S - I)* (S - I) + V V^T has no eigenvalue below CLUSTER_TOL^2 (shift
-    below), so by interlacing S - I has at most 2n - 1 singular values
-    below CLUSTER_TOL.  V', V without the column indicator of l = 0, is a
-    basis of the sum symbols, and ||(S - I) V'||_F (_sum_symbol_residual)
-    below CLUSTER_TOL sigma_min(V') (_sum_symbol_floor) bounds
-    ||(S - I) x|| below CLUSTER_TOL for every unit x they span: S - I has
-    2n - 1 singular values below CLUSTER_TOL, so exactly 2n - 1, the count
-    the eigenvalues of S make to within their rounding.  Any other
-    sample's count is the rank rule's on the eigenvalues of its S.
-
-    V is not orthonormal: on its range, where 2 (I - X) vanishes, G has
-    the eigenvalues of V^T V = [[I, P], [P^T, I]], P = |u|^2, which are
-    1 +- sigma_i(P).  So the certificate also needs 1 - sigma_2(P) above
-    the shift.  Haar samples clear it by far (1 - sigma_2(P) was at least
-    0.46 over 200 samples at n = 16, 0.022 at n = 4), but near a direct
-    sum, u = exp(eps A) (U_1 (+) U_2), it is of order eps^2 (4 to 16 eps^2
-    in the tests' examples), and below eps of about 1e-6 the certificate
-    fails and the eigenvalues count.
-
-    The shift, for N = n^2, f = ||u||_F^2 and
-    d = ||fl(u* u) - I||_F + gamma_{2n+16} f, is
-        c = 2 ((gamma_{N+1} / (1 - gamma_{N+1}) + u) tr G
-               + gamma_4 (4 f + 2) + d (2 + d)) + CLUSTER_TOL^2.
-    The first term is Rump's bound for the factorization and the rounding
-    of the subtraction on the diagonal, as in submersion._certify.
-    Forming G - c I: -2 X is exact, and each entry adds to it at most two
-    rounded products and, on the diagonal, 2 - c, four terms at most,
+    the same sum).  certified_kernel takes T = S - I, r = 2n - 1, K = V',
+    V without the column indicator of l = 0, with the residual
+    _sum_symbol_residual and the floor _sum_symbol_floor, and
+    g = 2 (I - X) + V V^T.  V V^T[(k,l),(k',l')] = |u_kl| |u_k'l'|
+    (delta_kk' + delta_ll') has rank 2n - 1, and is added in place to -2 X
+    on its 2n^3 - n^2 nonzeros: no QR and no product.  As S = S^T,
+    2 (I - X) = (S - I)* (S - I) - (S* S - I), so for f = ||u||_F^2 and
+    d = ||fl(u* u) - I||_F + gamma_{2n+16} f the slack is
+    gamma_4 (4 f + 2) + d (2 + d).  Forming g: -2 X is exact, and each
+    entry adds to it at most two rounded products and, on the diagonal, 2,
     which round it by at most gamma_4 times 2 |X| + V V^T + 2 I; that
     matrix's norm is at most 2 ||S||_F + tr(V V^T) + 2 = 4 f + 2.  Last,
     ||S* S - I||_2: S* S = conj(D) ((u u*)^T (x) u* u) D with
@@ -287,12 +294,18 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     gamma_16 f in norm, its entries being rounded by under gamma_16
     relative (_ENTRY_ROUNDINGS), and fl(u* u) errs by at most
     gamma_{2n} f.  So d bounds the distance of the singular values of S
-    from 1, and ||S* S - I||_2 <= d (2 + d).  The factor 2 covers the
-    rounding in d, f, tr G and c, relative and under 1e-13, and Rump's
-    underflow term, under 1e-300 here.  sqrt(c) is 5.5e-6 at n = 16, for
-    a unitary u, where tr G = 2 n^2."""
-    count, n = m.shape[:-1]
-    size, rank = n * n, 2 * n - 1
+    from 1, and ||S* S - I||_2 <= d (2 + d).  The square root of the
+    shift is 5.5e-6 at n = 16, for a unitary u, where tr g = 2 n^2.
+
+    V is not orthonormal: on its range, where 2 (I - X) vanishes, g has
+    the eigenvalues of V^T V = [[I, P], [P^T, I]], P = |u|^2, which are
+    1 +- sigma_i(P).  So the certificate also needs 1 - sigma_2(P) above
+    the shift.  Haar samples clear it by far (1 - sigma_2(P) was at least
+    0.46 over 200 samples at n = 16, 0.022 at n = 4), but near a direct
+    sum, u = exp(eps A) (U_1 (+) U_2), it is of order eps^2 (4 to 16 eps^2
+    in the tests' examples), and below eps of about 1e-6 the certificate
+    fails and the eigenvalues count."""
+    n = m.shape[-1]
     w = np.abs(m)
     p = w * w
     s = standardized_matrix(m)
@@ -300,19 +313,15 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     g = np.multiply(s.real, -2.0)
     del s  # before the factorization
     _add_sum_symbol_term(g, w)
+    diag = np.arange(n * n)
+    g[:, diag, diag] += 2.0
     f = np.sum(p, axis=(-2, -1))
     d = (np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(n), axis=(-2, -1))
-         + _gamma(2 * n + _ENTRY_ROUNDINGS) * f)
-    rump = _gamma(size + 1)
-    trace = np.trace(g, axis1=-2, axis2=-1) + 2.0 * size
-    shift = 2.0 * ((rump / (1.0 - rump) + _UNIT_ROUNDOFF) * trace
-                   + _gamma(4) * (4.0 * f + 2.0) + d * (2.0 + d)) + CLUSTER_TOL**2
-    diag = np.arange(size)
-    g[:, diag, diag] += (2.0 - shift)[:, np.newaxis]
-    certified = (_cholesky_succeeds(g)
-                 & (residual**2 < CLUSTER_TOL**2 * _sum_symbol_floor(p)))
+         + higham_gamma(2 * n + _ENTRY_ROUNDINGS) * f)
+    certified = certified_kernel(g, higham_gamma(4) * (4.0 * f + 2.0) + d * (2.0 + d),
+                                 residual, _sum_symbol_floor(p))
     del g  # before the eigenvalues of any sample are taken
-    counts = [rank if ok else kernel_dim(np.abs(_eigenvalues(m[i]) - 1.0))
+    counts = [2 * n - 1 if ok else kernel_dim(np.abs(_eigenvalues(m[i]) - 1.0))
               for i, ok in enumerate(certified)]
     return counts, certified.tolist()
 

@@ -12,14 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrices import Unitary, haar_unitary_stack, require_nonzero
-from .spectral import (
-    _UNIT_ROUNDOFF,
-    CLUSTER_TOL,
-    _cholesky_succeeds,
-    _gamma,
-    eigenvalue_multiplicities,
-    kernel_dim,
-)
+from .spectral import certified_kernel, eigenvalue_multiplicities, higham_gamma, kernel_dim
 
 # The bytes of numpy arrays one ranked sample holds at its peak, per n^4, as
 # tracemalloc measures it at n = 12 to 20.  A sample the Berezin side's
@@ -229,38 +222,22 @@ def _certify(m: np.ndarray) -> np.ndarray:
     below CLUSTER_TOL and the rest at or above it, without an SVD.
 
     A is J without its n zero columns, J', with the rows Q^T appended, Q
-    an orthonormal basis of the right phases.  Cholesky of A^T A - c I
-    succeeding proves sigma_min(A) >= CLUSTER_TOL (shift below); every
-    n-dimensional subspace meets ker Q^T, where |J' x| = |A x|, so J' has
-    at most n - 1 singular values below CLUSTER_TOL.  ||J' Q||_F below
-    CLUSTER_TOL gives it n - 1 of them, and J has n zero columns more:
-    exactly 2n - 1, the count the SVD makes to within its rounding.  G and
-    ||J' Q||_F are formed from J's row blocks (_block_gram).
-
-    The shift, for the order p = n^2 - n of G and the length
-    k = n^2 + n - 1 of A's columns, is
-        c = 2 (gamma_{p+1} / (1 - gamma_{p+1}) + gamma_k / (1 - gamma_k) + u) tr G
-            + CLUSTER_TOL^2.
-    Cholesky of fl(G - c I) runs to completion only if that matrix has no
-    eigenvalue below -gamma_{p+1} / (1 - gamma_{p+1}) tr G (Rump, BIT 46,
-    2006, from the backward error gamma_{p+1} |R^T| |R| of a Cholesky
-    factor R); the subtraction rounds the diagonal by at most u tr G;
-    each entry of G is a sum of at most 3n - 1 <= k products, n from each
-    of the two blocks that meet it and n - 1 from Q Q^T, so in whatever
-    order they are added forming G errs by at most
-    gamma_k || |A| ||_2^2 <= gamma_k tr(A^T A), under
-    gamma_k / (1 - gamma_k) tr G.  The factor 2 covers Rump's underflow
-    term, under 1e-300 here, and the rounding in tr G and in c itself,
-    relative and under 1e-13."""
+    an orthonormal basis of the right phases.  certified_kernel takes
+    T = J', r = n - 1, K = Q with floor 1, and g = G = A^T A =
+    J'^T J' + Q Q^T, formed from J's row blocks with ||J' Q||_F
+    (_block_gram).  Each entry of G is a sum of at most 3n - 1 <= k
+    products, k = n^2 + n - 1 the length of A's columns, n from each of
+    the two blocks that meet it and n - 1 from Q Q^T; so in whatever order
+    they are added forming G errs by at most
+    gamma_k || |A| ||_2^2 <= gamma_k tr(A^T A), under the slack
+    gamma_k / (1 - gamma_k) tr G.  J' then has exactly n - 1 singular
+    values below CLUSTER_TOL, and J, with n zero columns more, 2n - 1: the
+    count the SVD makes to within its rounding."""
     n = m.shape[-1]
-    p, k = n * (n - 1), n * n + n - 1
     gram, residual = _block_gram(m)
-    rump, forming = _gamma(p + 1), _gamma(k)
-    coefficient = 2.0 * (rump / (1.0 - rump) + forming / (1.0 - forming) + _UNIT_ROUNDOFF)
-    diag = np.arange(p)
-    gram[:, diag, diag] -= (coefficient * np.trace(gram, axis1=-2, axis2=-1)
-                            + CLUSTER_TOL**2)[:, np.newaxis]
-    return _cholesky_succeeds(gram) & (residual < CLUSTER_TOL)
+    forming = higham_gamma(n * n + n - 1)
+    slack = forming / (1.0 - forming) * np.trace(gram, axis1=-2, axis2=-1)
+    return certified_kernel(gram, slack, residual, 1.0)
 
 
 def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
@@ -300,16 +277,6 @@ def _jacobian_reports(m: np.ndarray) -> list[JacobianReport]:
             singular_values=sv,
         ))
     return reports
-
-
-def finite_difference_direction(u: Unitary, x: np.ndarray, h: float) -> np.ndarray:
-    """One-sided difference quotient of the squared-modulus map along the
-    curve t -> exp(tX) u; first-order accurate, used to validate the
-    analytic differential.  exp(hX) = V diag(exp(i h lambda)) V* from the
-    eigendecomposition of the Hermitian -iX, exact only for skew-Hermitian X."""
-    lam, v = np.linalg.eigh(-1j * _skew_hermitian(x))
-    curve = (v * np.exp(1j * h * lam)) @ v.conj().T @ u.matrix
-    return (np.abs(curve) ** 2 - np.abs(u.matrix) ** 2) / h
 
 
 @dataclass

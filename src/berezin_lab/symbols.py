@@ -112,18 +112,3 @@ def berezin_from_composition(u: Unitary) -> np.ndarray:
     units = np.eye(n * n).reshape(n * n, n, n)
     return BerezinTransform(u).apply(units).reshape(n * n, n * n).T
 
-
-def e_subspace_basis(n: int) -> np.ndarray:
-    """A basis of the symbols a_k + b_l, as one (2n-1, n, n) array.
-
-    Row indicators for k = 0..n-1 plus column indicators for l = 1..n-1;
-    column 0 is dropped because the all-ones function is already in the
-    row span.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    basis = np.zeros((2 * n - 1, n, n), dtype=complex)
-    k, l = np.arange(n), np.arange(1, n)
-    basis[k, k, :] = 1.0
-    basis[n - 1 + l, :, l] = 1.0
-    return basis

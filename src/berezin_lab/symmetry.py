@@ -88,12 +88,6 @@ def character_symbol(n: int, r, s) -> np.ndarray:
     return unit_root(n, np.asarray(r) * k[:, np.newaxis] + np.asarray(s) * k)
 
 
-def invariant_pair_count(n: int) -> int:
-    """#{(r, s): 0 <= r, s < n, r s = 0 mod n} by enumeration.  Equals
-    2n - 1 exactly when n is prime."""
-    return sum(1 for r in range(n) for s in range(n) if (r * s) % n == 0)
-
-
 def fourier_eigenfunction_check(n: int) -> float:
     """How far each character symbol is from an eigenfunction of the
     Fourier Berezin transform with the predicted unit-root eigenvalue: the

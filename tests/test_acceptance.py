@@ -15,7 +15,6 @@ from berezin_lab import (
     build_berezin,
     c_symbol_to_operator,
     d_symbol_to_operator,
-    e_subspace_basis,
     fourier_matrix,
     haar_random_unitary,
     jacobian_report,
@@ -25,14 +24,14 @@ from berezin_lab import (
     verify_symmetric_family_spectrum,
 )
 from berezin_lab.spectral import spectrum, standardized_matrix
-from berezin_lab.submersion import finite_difference_direction, skew_hermitian_basis
+from berezin_lab.submersion import skew_hermitian_basis
 from berezin_lab.symmetry import (
     check_permutation_equivariance,
     check_shift_commutation,
     check_weyl_relations,
-    invariant_pair_count,
     unit_root,
 )
+from references import e_subspace_basis, finite_difference_direction, invariant_pair_count
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

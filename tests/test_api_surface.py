@@ -18,10 +18,6 @@ UNREACHED = {
     "tangent_direction": "traced by the benchmark; the Jacobian's test reference",
     "skew_hermitian_basis": "traced by the benchmark; the Jacobian's column basis",
     "operator_to_d_symbol": "traced by the benchmark; inverse of the d map",
-    # references the tests hold the package to
-    "finite_difference_direction": "test reference for the analytic differential",
-    "e_subspace_basis": "test reference for the sum symbols fixed by the transform",
-    "invariant_pair_count": "test reference for the Fourier multiplicity of 1",
     "save_matrix": "writes the matrix file format load_matrix reads",
 }
 

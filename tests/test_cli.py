@@ -243,21 +243,21 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert csv_path.read_text() == earlier
 
-    def test_skipped_sample_row(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("n, samples, skipped", [(4, 6, 4), (4, 1, 0), (20, 2, 1)])
+    def test_skipped_sample_row(self, n, samples, skipped, tmp_path, monkeypatch, capsys):
+        # QR of a triangular matrix is diagonal: entries exactly zero.  At
+        # (4, 1) and from n = 19 up the skipped sample fills its chunk,
+        # which leaves nothing to rank
         ginibre = matrices._ginibre
-
-        def sample_4_triangular(n, seed):
-            # QR of a triangular matrix is diagonal: entries exactly zero
-            z = ginibre(n, seed)
-            return np.triu(z) if seed == [3, 4] else z
-
-        monkeypatch.setattr(matrices, "_ginibre", sample_4_triangular)
+        monkeypatch.setattr(matrices, "_ginibre", lambda n, seed: (
+            np.triu(ginibre(n, seed)) if seed == [3, skipped] else ginibre(n, seed)))
         csv_path = tmp_path / "samples.csv"
-        rc = main(["sweep", "--n", "4", "--samples", "6", "--seed", "3",
+        rc = main(["sweep", "--n", str(n), "--samples", str(samples), "--seed", "3",
                    "--per-sample", str(csv_path)])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["skipped"] == 1
-        assert csv_path.read_text().splitlines()[5] == "4,1,,,,,,,"
+        out = json.loads(capsys.readouterr().out)
+        assert (out["skipped"], sum(out["kernel_dim_histogram"].values())) == (1, samples - 1)
+        assert csv_path.read_text().splitlines()[1 + skipped] == f"{skipped},1,,,,,,,"
 
 
 class TestVerifyAllCommand:

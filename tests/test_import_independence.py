@@ -3,7 +3,8 @@ explicit kernel in ``spectral`` and the composition c^-1 o d in ``symbols``
 import nothing from each other, so the ``berezin-consistency`` row of
 ``verify-all``, where they meet, compares two computations and not one.
 ``spectral`` imports nothing from ``submersion`` either, so the Berezin
-side's certificate never reads the Jacobian it is compared with.
+side's certificate never reads the Jacobian it is compared with.  No module
+imports another's private names.
 """
 
 import ast
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import berezin_lab
-from berezin_lab import e_subspace_basis, haar_random_unitary, spectral
+from berezin_lab import haar_random_unitary, spectral
+from references import e_subspace_basis
 
 SOURCE = pathlib.Path(berezin_lab.__file__).parent
 PACKAGE = berezin_lab.__name__
@@ -54,6 +56,32 @@ def test_imported_modules_sees_every_spelling(tmp_path):
                     f"import {PACKAGE}.matrices\nfrom {PACKAGE}.cli import main\n"
                     f"from {PACKAGE} import symmetry\nimport numpy\n")
     assert imported_modules(path) == {"symbols", "spectral", "matrices", "cli", "symmetry"}
+
+
+def private_imports(path):
+    """The underscore-prefixed names a source file imports from package
+    modules."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == PACKAGE):
+            found.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name(path):
+    # what one module shares with another is public, so the certificate
+    # both pipelines run is a named routine and not a borrowed helper
+    assert not private_imports(path)
+
+
+def test_private_imports_sees_every_spelling(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from __future__ import annotations\nfrom .spectral import _a, b\n"
+                    f"from {PACKAGE}.matrices import _c\nfrom . import _d\n"
+                    "from numpy import _e\nimport _f\n")
+    assert private_imports(path) == {"_a", "_c", "_d"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])

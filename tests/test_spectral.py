@@ -7,7 +7,6 @@ from berezin_lab import (
     WeightedSpace,
     berezin_from_composition,
     build_berezin,
-    e_subspace_basis,
     haar_random_unitary,
     jacobian_report,
     spectrum,
@@ -23,12 +22,12 @@ from berezin_lab.spectral import (
 )
 from berezin_lab.symmetry import (
     fourier_matrix,
-    invariant_pair_count,
     predicted_clusters,
     symmetric_family_matrix,
     unit_root,
     verify_symmetric_family_spectrum,
 )
+from references import e_subspace_basis, invariant_pair_count
 
 
 def berezin_and_space(u):
@@ -622,6 +621,76 @@ class TestCertificate:
         assert_count(haar_random_unitary(16, seed=seed))
 
 
+def planted_stack(seed, p, count):
+    """count random symmetric p x p matrices, each with one eigenvalue
+    planted near CLUSTER_TOL^2 (log-uniform from 1e-18 to 1e-11, of either
+    sign) and the others in [0.5, 2], and an upper bound on each one's
+    shift at slack 0."""
+    rng = np.random.default_rng([50, seed, p])
+    least = rng.choice([-1.0, 1.0, 1.0, 1.0], count) * 10.0 ** rng.uniform(-18.0, -11.0, count)
+    q = np.linalg.qr(rng.standard_normal((count, p, p)))[0]
+    values = np.concatenate([least[:, np.newaxis], rng.uniform(0.5, 2.0, (count, p - 1))], axis=1)
+    g = (q * values[:, np.newaxis, :]) @ np.swapaxes(q, -1, -2)
+    g = (g + np.swapaxes(g, -1, -2)) / 2.0
+    # (gamma_{p+1} / (1 - gamma_{p+1}) + u) is under 1.01 (p + 2) u
+    shift = 2.0 * 1.01 * (p + 2) * 2.0**-53 * np.trace(g, axis1=-2, axis2=-1) + CLUSTER_TOL**2
+    return g, shift
+
+
+class TestCertifiedKernel:
+    """The one certificate both pipelines run, held to eigvalsh: it never
+    certifies a matrix whose least eigenvalue lies below CLUSTER_TOL^2,
+    always certifies one whose least eigenvalue is at least twice the
+    shift, and never certifies a residual at or above CLUSTER_TOL
+    sqrt(floor)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 16, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_eigvalsh(self, p, seed):
+        g, shift = planted_stack(seed, p, 12)
+        least = np.linalg.eigvalsh(g)[:, 0]
+        certified = spectral.certified_kernel(g.copy(), 0.0, np.zeros(len(g)), 1.0)
+        assert not certified[least < CLUSTER_TOL**2].any()
+        assert certified[least >= 2.0 * shift].all()
+        # the stack's verdicts are its samples' own, whether or not it factors whole
+        assert certified.tolist() == [
+            spectral.certified_kernel(g[i:i + 1].copy(), 0.0, np.zeros(1), 1.0)[0]
+            for i in range(len(g))]
+
+    def test_the_planted_stacks_hold_both_cases(self):
+        # the oracle above is not vacuous: each case occurs in its stacks
+        least, shifts = [], []
+        for p in (1, 2, 5, 16, 40):
+            for seed in range(6):
+                g, shift = planted_stack(seed, p, 12)
+                least.append(np.linalg.eigvalsh(g)[:, 0])
+                shifts.append(shift)
+        least, shifts = np.concatenate(least), np.concatenate(shifts)
+        assert (least < CLUSTER_TOL**2).sum() > 50
+        assert (least >= 2.0 * shifts).sum() > 50
+        assert ((CLUSTER_TOL**2 <= least) & (least < 2.0 * shifts)).sum() > 50
+
+    @pytest.mark.parametrize("residual, floor, certified", [
+        (0.0, 1.0, True), (0.99 * CLUSTER_TOL, 1.0, True), (CLUSTER_TOL, 1.0, False),
+        (2.0 * CLUSTER_TOL, 1.0, False), (0.49 * CLUSTER_TOL, 0.25, True),
+        (0.5 * CLUSTER_TOL, 0.25, False), (0.0, 0.0, False), (0.0, -1.0, False),
+        (1e-30, 1e-300, False),
+    ])
+    def test_residual_against_the_floor(self, residual, floor, certified):
+        # g = I factors with room to spare; the residual alone decides
+        g = np.eye(4)[np.newaxis].copy()
+        assert spectral.certified_kernel(g, 0.0, np.array([residual]), floor).tolist() == [
+            certified]
+
+    def test_slack_raises_the_shift(self):
+        # least eigenvalue 1e-6: certified at slack 0, not once the slack
+        # exceeds half of it
+        g = np.diag([1e-6, 1.0, 1.0])[np.newaxis]
+        results = [spectral.certified_kernel(g.copy(), slack, np.zeros(1), 1.0)[0]
+                   for slack in (0.0, 4e-7, 6e-7)]
+        assert results == [True, True, False]
+
+
 def sum_symbols(m):
     """V = |u| times the n row indicators and the n column indicators of
     the coordinates (k, l), densely, as an (n^2, 2n) array."""
@@ -704,11 +773,22 @@ def factored(m, monkeypatch):
     the stack of unitaries m, whether each one factored, and the counts
     and flags _multiplicity returns."""
     seen = []
-    real = spectral._cholesky_succeeds
-    monkeypatch.setattr(spectral, "_cholesky_succeeds",
-                        lambda g: seen.append((g.copy(), real(g))) or seen[-1][1])
+    cholesky = np.linalg.cholesky
+
+    def recorded(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            seen.append((a.copy(), False))
+            raise
+        seen.append((a.copy(), True))
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
     result = spectral._multiplicity(m)
-    return *seen[0], result
+    (stack, whole), samples = seen[0], [ok for _, ok in seen[1:]]
+    # a failing stack of more than one sample is factored sample by sample
+    return stack, np.array(samples if samples else [whole] * len(m)), result
 
 
 GRAM_INPUTS = {

@@ -19,7 +19,7 @@ from berezin_lab import (
     to_doubly_stochastic,
     validate_unitary,
 )
-from berezin_lab.submersion import finite_difference_direction
+from references import finite_difference_direction
 from test_spectral import fourier_product, perturbed
 
 

@@ -8,7 +8,6 @@ from berezin_lab import (
     build_berezin,
     c_symbol_to_operator,
     d_symbol_to_operator,
-    e_subspace_basis,
     haar_random_unitary,
     jacobian_report,
     operator_to_c_symbol,
@@ -18,6 +17,7 @@ from berezin_lab import (
 )
 from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symmetry import fourier_matrix
+from references import e_subspace_basis
 
 
 def random_symbol(rng, n):

@@ -23,7 +23,6 @@ from berezin_lab.symmetry import (
     check_theta,
     check_weyl_relations,
     fourier_eigenfunction_check,
-    invariant_pair_count,
     isotypic_blocks,
     permute_symbol,
     phase_operator,
@@ -31,6 +30,7 @@ from berezin_lab.symmetry import (
     shift_operator,
     unit_root,
 )
+from references import invariant_pair_count
 
 
 class TestFourierMatrix:
