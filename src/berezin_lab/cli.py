@@ -372,11 +372,11 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text):
+    def command(name, func, help_text, seed_help=None):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func.__name__)
         p.add_argument("--n", type=int, default=INPUT_DEFAULTS["n"])
-        p.add_argument("--seed", type=int, default=INPUT_DEFAULTS["seed"])
+        p.add_argument("--seed", type=int, default=INPUT_DEFAULTS["seed"], help=seed_help)
         p.add_argument("--output", default=None, help="write report here instead of stdout")
         return p
 
@@ -397,7 +397,8 @@ def build_parser() -> _Parser:
     p = command("theorem-check", cmd_theorem_check, "Jacobian kernel vs Berezin multiplicity")
     matrix_input(p)
 
-    p = command("sweep", cmd_sweep, "Haar sweep of the kernel/multiplicity check")
+    p = command("sweep", cmd_sweep, "Haar sweep of the kernel/multiplicity check",
+                seed_help="seed of the one NumPy stream the samples are drawn from")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--per-sample", default=None, help="stream per-sample CSV here")
 

@@ -77,38 +77,32 @@ def require_nonzero(u: Unitary) -> None:
 
 
 def haar_random_unitary(n: int, seed) -> Unitary:
-    """Draw a Haar-distributed n x n unitary, deterministically from seed.
+    """Draw a Haar-distributed n x n unitary deterministically from seed:
+    haar_unitary_stack's one-sample draw from default_rng(seed)."""
+    m, nonzero = haar_unitary_stack(n, 1, np.random.default_rng(seed))
+    return Unitary(matrix=m[0], nonzero_entries=bool(nonzero[0]))
 
-    QR of a complex Ginibre matrix, with the columns of Q rephased so that
-    the diagonal of R is real positive (without this correction the QR
-    output is not Haar-distributed).
-    """
+
+def haar_unitary_stack(n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """count Haar-distributed n x n unitaries as one (count, n, n) stack,
+    each checked as validate_unitary checks it, and whether each has all
+    entries nonzero.  Matrix i is Q of the QR of the Ginibre matrix of
+    rng's next normals 2 i n^2 to 2 (i + 1) n^2 - 1 (_ginibre_stack), each
+    column times the phase of R's matching diagonal entry (without this
+    the output is not Haar-distributed); so a stream drawn in chunks gives
+    the matrices one draw gives."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return validate_unitary(_rephased_qr(_ginibre(n, seed)))
-
-
-def haar_unitary_stack(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The unitaries haar_random_unitary(n, seed) gives for each of seeds,
-    bit for bit, as one (len(seeds), n, n) stack from one stacked QR, with
-    each matrix checked as validate_unitary checks it; and whether each has
-    all entries nonzero."""
-    m = _rephased_qr(np.stack([_ginibre(n, seed) for seed in seeds]))
+    q, r = np.linalg.qr(_ginibre_stack(rng.standard_normal((count, 2, n, n))))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    m = q * (d / np.abs(d))[:, np.newaxis, :]
     return m, _check_unitary(m, UNITARITY_TOL)
 
 
-def _ginibre(n: int, seed) -> np.ndarray:
-    """An n x n complex Ginibre matrix drawn from default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-
-
-def _rephased_qr(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR (one matrix or a stack), each column times the phase of
-    the matching diagonal entry of R."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., np.newaxis, :]
+def _ginibre_stack(normals: np.ndarray) -> np.ndarray:
+    """The complex Ginibre matrices (re + i im) / sqrt(2) of a
+    (count, 2, n, n) stack of normals (re, im), each n x n row-major."""
+    return (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
 
 
 def to_doubly_stochastic(u: Unitary) -> np.ndarray:

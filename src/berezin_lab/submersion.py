@@ -289,6 +289,9 @@ class SweepReport:
     kernel_dim_histogram: dict
     min_kernel_dim: int
     max_kernel_dim: int
+    # the stream the samples were drawn from
+    seed: int
+    numpy_version: str
 
     def to_dict(self) -> dict:
         histogram = {str(k): v for k, v in sorted(self.kernel_dim_histogram.items())}
@@ -309,22 +312,23 @@ def check_sweep_args(n: int, samples: int, seed: int) -> None:
 def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepReport:
     """Haar-sample unitaries and collect Jacobian reports.
 
-    Each sample gets its own derived seed (seed, index), so a sample's
-    result does not depend on the others.  Samples with an entry at or
-    below the entry floor are skipped and counted, not perturbed.  Samples
-    are drawn and ranked in chunks of as many as fit a fixed memory
-    budget.  on_chunk, if given, is called as each chunk finishes with its
-    (index, JacobianReport or None) pairs in index order (streaming hook
-    for the CLI)."""
+    The samples are haar_unitary_stack's draws from one stream,
+    default_rng(seed), so sample i depends only on (seed, i), and sample 0
+    is haar_random_unitary(n, seed).  Samples with an entry at or below the
+    entry floor are skipped and counted, not perturbed.  Samples are drawn
+    and ranked in chunks of as many as fit a fixed memory budget.  on_chunk,
+    if given, is called as each chunk finishes with its (index,
+    JacobianReport or None) pairs in index order (streaming hook for the CLI)."""
     check_sweep_args(n, samples, seed)
     size = _chunk_size(n)
     skipped = 0
     submersive = 0
     violations = 0
     histogram: dict[int, int] = {}
+    rng = np.random.default_rng(seed)
     for start in range(0, samples, size):
         indices = range(start, min(start + size, samples))
-        m, nonzero = haar_unitary_stack(n, [[seed, i] for i in indices])
+        m, nonzero = haar_unitary_stack(n, len(indices), rng)
         ranked = iter(_jacobian_reports(m[nonzero]))
         chunk = [(i, next(ranked) if ok else None) for i, ok in zip(indices, nonzero)]
         if on_chunk is not None:
@@ -346,4 +350,5 @@ def submersion_sweep(n: int, samples: int, seed: int, on_chunk=None) -> SweepRep
         kernel_dim_histogram=histogram,
         min_kernel_dim=min(histogram, default=0),
         max_kernel_dim=max(histogram, default=0),
+        seed=seed, numpy_version=np.__version__,
     )

@@ -11,11 +11,13 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
-from berezin_lab import cli, matrices, spectral, submersion
+from berezin_lab import cli, spectral, submersion
 from berezin_lab.cli import main, parse_theta
+from berezin_lab.matrices import haar_unitary_stack
 from berezin_lab.spectral import standardized_matrix
 from berezin_lab.symbols import WeightedSpace, c_symbol_to_operator, d_symbol_to_operator
 from test_spectral import fourier_product, perturbed
+from test_submersion import replace_sample
 
 # a nan or infinite theta is a usage error, not a non-unitary matrix
 NON_FINITE_THETAS = ["nan,0", "angle:nan", "angle:inf", "1,nan"]
@@ -174,6 +176,12 @@ class TestTheoremCheckCommand:
         assert out["kernel_dim"] == out["berezin_multiplicity_of_one"] == 31
 
 
+def eighth_singular_values(m):
+    """The 8th smallest singular value of the Jacobian of each unitary of
+    a (samples, 4, 4) stack, from its SVD."""
+    return np.linalg.svd(submersion._jacobians(m), compute_uv=False)[:, -8]
+
+
 class TestSweepCommand:
     def test_n2_submersive(self, capsys):
         rc = main(["sweep", "--n", "2", "--samples", "100", "--seed", "7"])
@@ -199,10 +207,10 @@ class TestSweepCommand:
         on_disk = []  # rows in the file each time a chunk is drawn
         draw = submersion.haar_unitary_stack
 
-        def recorded(n, seeds):
+        def recorded(n, count, rng):
             lines = csv_path.read_text().splitlines()
             on_disk.append(sum(not line.startswith("sample,") for line in lines))
-            return draw(n, seeds)
+            return draw(n, count, rng)
 
         monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * 3**4)  # 3 samples
         monkeypatch.setattr(submersion, "haar_unitary_stack", recorded)
@@ -214,11 +222,22 @@ class TestSweepCommand:
         rows = csv_path.read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == list(range(8))
 
+    def test_near_threshold_matrix_agrees(self):
+        # the Jacobian's 8th singular value is 2.6e-7 (5.2e-8 when it was
+        # ranked unscaled), above the threshold CLUSTER_TOL = 1e-8; both
+        # pipelines must count kernel 7
+        u = haar_random_unitary(4, [1511599422, 21])
+        report = submersion.jacobian_report(u)
+        assert (report.kernel_dim, report.berezin_multiplicity_of_one) == (7, 7)
+        assert eighth_singular_values(u.matrix[np.newaxis])[0] == pytest.approx(2.56e-7, rel=0.01)
+
     def test_near_threshold_seed_agrees(self, capsys):
-        # sample 21 has a singular value of 2.6e-7 on both sides (5.2e-8 when
-        # the Jacobian was ranked unscaled), above the 4e-8 threshold at
-        # n = 4; both pipelines must count kernel 7
-        rc = main(["sweep", "--n", "4", "--samples", "25", "--seed", "1511599422"])
+        # sample 1 of this seed's stream has an 8th Jacobian singular value
+        # of 5.6e-8, the nearest above CLUSTER_TOL = 1e-8 in the streams of
+        # seeds 0 to 99,999; both pipelines must count kernel 7
+        m, _ = haar_unitary_stack(4, 25, np.random.default_rng(67372))
+        assert eighth_singular_values(m)[1] == pytest.approx(5.59e-8, rel=0.01)
+        rc = main(["sweep", "--n", "4", "--samples", "25", "--seed", "67372"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["kernel_dim_histogram"] == {"7": 25}
 
@@ -248,9 +267,7 @@ class TestSweepCommand:
         # QR of a triangular matrix is diagonal: entries exactly zero.  At
         # (4, 1) and from n = 19 up the skipped sample fills its chunk,
         # which leaves nothing to rank
-        ginibre = matrices._ginibre
-        monkeypatch.setattr(matrices, "_ginibre", lambda n, seed: (
-            np.triu(ginibre(n, seed)) if seed == [3, skipped] else ginibre(n, seed)))
+        replace_sample(monkeypatch, skipped, np.triu)
         csv_path = tmp_path / "samples.csv"
         rc = main(["sweep", "--n", str(n), "--samples", str(samples), "--seed", "3",
                    "--per-sample", str(csv_path)])
@@ -381,7 +398,7 @@ class TestRecordFormats:
         assert main(["sweep", "--n", "3", "--samples", "2"]) == 0
         assert list(json.loads(capsys.readouterr().out)) == [
             "n", "samples", "skipped", "submersive_fraction", "theorem_violations",
-            "kernel_dim_histogram", "min_kernel_dim", "max_kernel_dim"]
+            "kernel_dim_histogram", "min_kernel_dim", "max_kernel_dim", "seed", "numpy_version"]
 
     def test_per_sample_csv_header(self, tmp_path, capsys):
         csv_path = tmp_path / "samples.csv"
@@ -769,7 +786,7 @@ def test_certified_sample_builds_no_dense_jacobian(solver_calls, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["certified"] and out["berezin_certified"]
     assert solver_calls == {"cholesky": [(1, 240, 240), (1, 256, 256)], "svd": [], "eigh": [],
-                            "qr": [(16, 16), (1, 240, 15)], "_jacobians": []}
+                            "qr": [(1, 16, 16), (1, 240, 15)], "_jacobians": []}
 
 
 def test_failed_certificate_builds_the_dense_jacobian_once(solver_calls, capsys):

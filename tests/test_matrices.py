@@ -10,6 +10,7 @@ from berezin_lab import (
     to_doubly_stochastic,
     validate_unitary,
 )
+from berezin_lab.matrices import haar_unitary_stack
 
 
 def test_identity_is_unitary_with_zero_entries():
@@ -47,6 +48,18 @@ def test_haar_deterministic_given_seed():
     a = haar_random_unitary(4, seed=99).matrix
     b = haar_random_unitary(4, seed=99).matrix
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_haar_stream_drawn_in_chunks_matches_one_draw(n):
+    # matrix i takes normals 2 i n^2 to 2 (i + 1) n^2 - 1 of the stream,
+    # however the stream is split, and the first is haar_random_unitary's
+    whole, nonzero = haar_unitary_stack(n, 5, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    parts = [haar_unitary_stack(n, count, rng) for count in (1, 2, 2)]
+    assert np.array_equal(np.concatenate([m for m, _ in parts]), whole)
+    assert np.array_equal(np.concatenate([ok for _, ok in parts]), nonzero)
+    assert np.array_equal(haar_random_unitary(n, 7).matrix, whole[0])
 
 
 def test_haar_zero_entries_never_seen():

@@ -34,6 +34,55 @@ def random_skew(rng, n):
     return a - a.conj().T
 
 
+def replace_sample(monkeypatch, index, replace):
+    """Make the Haar draw build sample `index` of the stream from
+    replace(z), z the Ginibre matrix the stream gives it.  This wraps
+    matrices._ginibre_stack, the draw's one step between the normals and
+    the QR, and counts the samples of each chunk it has drawn; the stream
+    is drawn as before, so every other sample stays as it was."""
+    ginibre, drawn = matrices._ginibre_stack, [0]
+
+    def patched(normals):
+        z = ginibre(normals)
+        k, drawn[0] = index - drawn[0], drawn[0] + len(z)
+        if 0 <= k < len(z):
+            z[k] = replace(z[k])
+        return z
+
+    monkeypatch.setattr(matrices, "_ginibre_stack", patched)
+
+
+def swept_matrices(monkeypatch, n, samples, seed, chunk):
+    """The unitaries submersion_sweep(n, samples, seed) draws in chunks of
+    `chunk` samples, as one (samples, n, n) stack."""
+    draw, drawn = submersion.haar_unitary_stack, []
+
+    def recorded(n, count, rng):
+        m, nonzero = draw(n, count, rng)
+        drawn.append(m)
+        return m, nonzero
+
+    with monkeypatch.context() as patch:
+        patch.setattr(submersion, "_CHUNK_BYTES", chunk * submersion.SAMPLE_BYTES_PER_N4 * n**4)
+        patch.setattr(submersion, "haar_unitary_stack", recorded)
+        submersion_sweep(n, samples, seed)
+    sizes = [min(chunk, samples - start) for start in range(0, samples, chunk)]
+    assert [len(m) for m in drawn] == sizes
+    return np.concatenate(drawn)
+
+
+def stream_unitaries(n, samples, seed):
+    """The rephased QR of each (re, im) block of one
+    default_rng(seed).standard_normal((samples, 2, n, n)) draw, one block
+    at a time."""
+    unitaries = []
+    for re, im in np.random.default_rng(seed).standard_normal((samples, 2, n, n)):
+        q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+        d = np.diagonal(r)
+        unitaries.append(q * (d / np.abs(d)))
+    return np.stack(unitaries)
+
+
 class TestSkewBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_count_and_skewness(self, n):
@@ -250,10 +299,8 @@ class TestCholeskyCertificate:
     def test_one_failing_sample_leaves_its_chunk_mates_certified(self, monkeypatch):
         rows = {}
         submersion_sweep(4, samples=6, seed=3, on_chunk=rows.update)
-        ginibre = matrices._ginibre
         # the QR of a unitary rephases it to itself: sample 2 becomes F4
-        monkeypatch.setattr(matrices, "_ginibre", lambda n, seed: (
-            fourier_matrix(4).matrix if seed == [3, 2] else ginibre(n, seed)))
+        replace_sample(monkeypatch, 2, lambda z: fourier_matrix(4).matrix)
         patched = {}
         report = submersion_sweep(4, samples=6, seed=3, on_chunk=patched.update)
         assert report.kernel_dim_histogram == {7: 5, 8: 1} and report.theorem_violations == 0
@@ -360,26 +407,28 @@ class TestSweep:
         assert report.min_kernel_dim >= 5
         assert report.theorem_violations == 0
 
-    def test_deterministic_and_order_independent(self):
+    def test_deterministic(self):
         streamed = {}
         a = submersion_sweep(3, samples=10, seed=9, on_chunk=streamed.update)
         b = submersion_sweep(3, samples=10, seed=9)
         assert a.to_dict() == b.to_dict()
-        # each sample depends only on (seed, index)
         assert sorted(streamed) == list(range(10))
-        for i, report in streamed.items():
-            alone = jacobian_report(haar_random_unitary(3, seed=[9, i]))
-            assert report.to_dict() == alone.to_dict()
 
+    @pytest.mark.parametrize("seed", [9, 21])
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_chunked_samples_match_single_reports(self, n, monkeypatch):
-        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * n**4)  # 3 samples
+    def test_sample_i_is_block_i_of_one_stream(self, n, seed, monkeypatch):
+        # bit for bit, at every chunk size: sample i depends only on
+        # (seed, i), and sample 0 is haar_random_unitary(n, seed)
+        expected = stream_unitaries(n, 8, seed)
+        for chunk in (1, 3, 8, 20):
+            assert np.array_equal(swept_matrices(monkeypatch, n, 8, seed, chunk), expected)
+        assert np.array_equal(haar_random_unitary(n, seed).matrix, expected[0])
+
+    def test_chunks_stream_in_index_order(self, monkeypatch):
+        monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * 3**4)  # 3 samples
         chunks = []
-        submersion_sweep(n, samples=8, seed=21, on_chunk=chunks.append)
+        submersion_sweep(3, samples=8, seed=21, on_chunk=chunks.append)
         assert [[i for i, _ in chunk] for chunk in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7]]
-        for i, report in (pair for chunk in chunks for pair in chunk):
-            alone = jacobian_report(haar_random_unitary(n, seed=[21, i]))
-            assert report.to_dict() == alone.to_dict()
 
     def test_zero_entry_sample_skipped_inside_chunk(self, monkeypatch):
         def sweep_rows():
@@ -389,14 +438,8 @@ class TestSweep:
 
         monkeypatch.setattr(submersion, "_CHUNK_BYTES", 3 * submersion.SAMPLE_BYTES_PER_N4 * 4**4)  # 3 samples
         clean, clean_rows = sweep_rows()
-        ginibre = matrices._ginibre
-
-        def sample_4_triangular(n, seed):
-            # QR of a triangular matrix is diagonal: entries exactly zero
-            z = ginibre(n, seed)
-            return np.triu(z) if seed == [3, 4] else z
-
-        monkeypatch.setattr(matrices, "_ginibre", sample_4_triangular)
+        # QR of a triangular matrix is diagonal: entries exactly zero
+        replace_sample(monkeypatch, 4, np.triu)
         patched, patched_rows = sweep_rows()
         assert clean.skipped == 0 and patched.skipped == 1
         assert patched_rows[4] is None
