@@ -172,8 +172,8 @@ def certified_kernel(g: np.ndarray, slack, residual, floor) -> np.ndarray:
     K is a basis of r directions T should annihilate.  g must hold
     T* T + E to within slack in the 2-norm, E positive semidefinite of
     rank at most r (K K^T, or another such term on span K); residual is
-    ||T K||_F and floor at most sigma_min(K)^2.  slack, residual and floor
-    are (samples,) arrays or numbers.
+    any upper bound on ||T K||_F and floor at most sigma_min(K)^2.  slack,
+    residual and floor are (samples,) arrays or numbers.
 
     The shift, for Higham's gamma and u the unit roundoff, is
         c = 2 ((gamma_{p+1} / (1 - gamma_{p+1}) + u) tr g + slack)
@@ -210,29 +210,6 @@ def certified_kernel(g: np.ndarray, slack, residual, floor) -> np.ndarray:
             except np.linalg.LinAlgError:
                 pass
     return factored & (residual**2 < CLUSTER_TOL**2 * floor)
-
-
-def _sum_symbol_residual(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """||(S - I) V'||_F for each S of a (samples, n^2, n^2) stack, with
-    w = |u| of its unitary and V' = W [R | C'] as in _multiplicity, as a
-    (samples,) array.  As S = S^T it is ||V'^T (S - I)||_F, and the row of
-    V'^T S of row indicator k' (column indicator l') is the sum of the rows
-    (k', l) of S (the rows (k, l')) weighted by w: one batched gemv per
-    indicator over the real view of S, with no complex temporary."""
-    count, n = w.shape[:-1]
-    rows = s.view(np.float64).reshape(count, n, n, 2 * n * n)  # rows[k', l'] of S
-    vs = np.empty((count, 2 * n - 1, 1, 2 * n * n))
-    np.matmul(w[..., np.newaxis, :], rows, out=vs[:, :n])
-    np.matmul(np.swapaxes(w, -1, -2)[:, 1:, np.newaxis, :], np.swapaxes(rows, 1, 2)[:, 1:],
-              out=vs[:, n:])
-    # less V'^T: w[k', l] at the real part of (k', l) in row k', and w[k, l']
-    # at (k, l') in row l'
-    real = vs.reshape(count, 2 * n - 1, n, n, 2)[..., 0]
-    own_row = np.einsum("skkl->skl", real[:, :n])
-    own_row -= w
-    own_col = np.einsum("sjkj->sjk", real[:, n:, :, 1:])
-    own_col -= np.swapaxes(w[..., 1:], -1, -2)
-    return np.sqrt(np.einsum("sijk,sijk->s", vs, vs))
 
 
 def _add_sum_symbol_term(g: np.ndarray, w: np.ndarray) -> None:
@@ -276,48 +253,69 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     V = W [R | C], W = diag(|u|), R and C the n row and n column
     indicators of the coordinates (k, l): the sum symbols a_k + b_l in the
     coordinates of S, the 2n - 1 directions every S fixes (R and C have
-    the same sum).  certified_kernel takes T = S - I, r = 2n - 1, K = V',
-    V without the column indicator of l = 0, with the residual
-    _sum_symbol_residual and the floor _sum_symbol_floor, and
-    g = 2 (I - X) + V V^T.  V V^T[(k,l),(k',l')] = |u_kl| |u_k'l'|
-    (delta_kk' + delta_ll') has rank 2n - 1, and is added in place to -2 X
-    on its 2n^3 - n^2 nonzeros: no QR and no product.  As S = S^T,
-    2 (I - X) = (S - I)* (S - I) - (S* S - I), so for f = ||u||_F^2 and
-    d = ||fl(u* u) - I||_F + gamma_{2n+16} f the slack is
-    gamma_4 (4 f + 2) + d (2 + d).  Forming g: -2 X is exact, and each
-    entry adds to it at most two rounded products and, on the diagonal, 2,
-    which round it by at most gamma_4 times 2 |X| + V V^T + 2 I; that
-    matrix's norm is at most 2 ||S||_F + tr(V V^T) + 2 = 4 f + 2.  Last,
-    ||S* S - I||_2: S* S = conj(D) ((u u*)^T (x) u* u) D with
-    D = diag(|u| / u), so the S of u has its singular values within
-    delta = ||u* u - I||_2 of 1; the S at hand differs from it by at most
-    gamma_16 f in norm, its entries being rounded by under gamma_16
-    relative (_ENTRY_ROUNDINGS), and fl(u* u) errs by at most
-    gamma_{2n} f.  So d bounds the distance of the singular values of S
-    from 1, and ||S* S - I||_2 <= d (2 + d).  The square root of the
-    shift is 5.5e-6 at n = 16, for a unitary u, where tr g = 2 n^2.
+    the same sum).  certified_kernel takes T = S(u) - I, S(u) the exact
+    standardized matrix of the float u, r = 2n - 1, K = V', V without the
+    column indicator of l = 0, the floor _sum_symbol_floor, and
+    g = 2 (I - X) + V V^T, X the real part of the S at hand (X_u of S(u)).
+    V V^T, of rank 2n - 1, is |u_kl| |u_k'l'| (delta_kk' + delta_ll') at
+    ((k,l),(k',l')), added in place to -2 X on its 2n^3 - n^2 nonzeros.
 
-    V is not orthonormal: on its range, where 2 (I - X) vanishes, g has
-    the eigenvalues of V^T V = [[I, P], [P^T, I]], P = |u|^2, which are
-    1 +- sigma_i(P).  So the certificate also needs 1 - sigma_2(P) above
-    the shift.  Haar samples clear it by far (1 - sigma_2(P) was at least
-    0.46 over 200 samples at n = 16, 0.022 at n = 4), but near a direct
-    sum, u = exp(eps A) (U_1 (+) U_2), it is of order eps^2 (4 to 16 eps^2
-    in the tests' examples), and below eps of about 1e-6 the certificate
-    fails and the eigenvalues count."""
+    The slack.  As S(u) = S(u)^T, T* T = 2 (I - X_u) + S(u)* S(u) - I:
+    g errs from T* T + V V^T by the rounding in forming g, 2 ||X - X_u||_2
+    and ||S(u)* S(u) - I||_2.  Forming g: -2 X is exact, and each entry
+    adds to it at most two rounded products and, on the diagonal, 2, which
+    round it by at most gamma_4 times 2 |X| + V V^T + 2 I, of norm at most
+    2 ||S||_F + tr(V V^T) + 2 = 4 f + 2, f = ||u||_F^2.  The S at hand
+    differs from S(u) by at most gamma_16 f in norm (_ENTRY_ROUNDINGS).
+    S(u)* S(u) = conj(D) ((u u*)^T (x) u* u) D with D = diag(|u| / u), so
+    ||S(u)* S(u) - I||_2 <= delta (2 + delta), delta = ||u* u - I||_2.
+    If fl(u* u) errs by at most gamma_{2n} f (so if h <= sqrt(2) f, h as
+    below), d = ||fl(u* u) - I||_F + gamma_{2n+16} f >= delta + gamma_16 f,
+    and the slack gamma_4 (4 f + 2) + d (2 + d) covers all three, as
+    d (2 + d) >= delta (2 + delta) + 2 gamma_16 f.  For a unitary u,
+    tr g = 2 n^2, and the square root of the shift is 5.5e-6 at n = 16.
+
+    The residual, with no pass over S.  With p = |u| / u, S(u) W R e_k'
+    has the entry p_kl u_k'l (u u*)_kk' at (k, l) and S(u) W C e_l' the
+    entry p_kl u_kl' (u* u)_l'l, so for E = u u* - I and F = u* u - I
+        ||T V'||_F^2 = sum_k (u u*)_kk ||e_k^T E||^2 + sum_{l>0} (u* u)_ll ||e_l^T F||^2
+    exactly: rho, from fl(u u*) and fl(u* u).  For u = A + i B, the two
+    parts of an entry of u u* are real sums of 2n products, so they err by
+    at most gamma_{2n} times those of |A| |A|^T + |B| |B|^T and
+    |B| |A|^T + |A| |B|^T, whose sum and difference are M M^T and N N^T,
+    M = |A| + |B| and N = |A| - |B|: in Frobenius norm fl(u u*) errs by at
+    most gamma_{2n} h / sqrt(2), h = hypot(||M M^T||_F, ||N N^T||_F), and
+    so does fl(u* u), as ||M^T M||_F = ||M M^T||_F.  With weights at most
+    ||u||_2^2 <= 1 + d, the residual rho + sqrt(1 + d) gamma_{2n+1} h
+    bounds ||T V'||_F; the extra unit covers the rounding of that term and
+    of rho, under gamma_{4n} rho where rho < CLUSTER_TOL sqrt(1 + d).
+
+    V is not orthonormal: on its range g has the eigenvalues 1 +- sigma_i(P)
+    of V^T V = [[I, P], [P^T, I]], P = |u|^2, so the certificate also needs
+    1 - sigma_2(P) above the shift: at least 0.46 over 200 Haar samples at
+    n = 16 (0.022 at n = 4), but of order eps^2, as is the floor, near a
+    direct sum u = exp(eps A) (U_1 (+) U_2).  Below eps of 7.9e-7 (2 + 2)
+    to 8.4e-6 (8 + 8) the certificate fails and the eigenvalues count."""
     n = m.shape[-1]
     w = np.abs(m)
     p = w * w
     s = standardized_matrix(m)
-    residual = _sum_symbol_residual(s, w)
     g = np.multiply(s.real, -2.0)
     del s  # before the factorization
     _add_sum_symbol_term(g, w)
     diag = np.arange(n * n)
     g[:, diag, diag] += 2.0
     f = np.sum(p, axis=(-2, -1))
-    d = (np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(n), axis=(-2, -1))
+    mh = np.swapaxes(m.conj(), -1, -2)
+    uu, uhu = m @ mh, mh @ m
+    d = (np.linalg.norm(uhu - np.eye(n), axis=(-2, -1))
          + higham_gamma(2 * n + _ENTRY_ROUNDINGS) * f)
+    rows, cols = (np.einsum("skk,skj->sk", a.real, np.abs(a - np.eye(n)) ** 2) for a in (uu, uhu))
+    re, im = np.abs(m.real), np.abs(m.imag)
+    h = np.hypot(*(np.linalg.norm(x @ np.swapaxes(x, -1, -2), axis=(-2, -1))
+                   for x in (re + im, re - im)))
+    residual = (np.sqrt(rows.sum(axis=-1) + cols[:, 1:].sum(axis=-1))
+                + np.sqrt(1.0 + d) * higham_gamma(2 * n + 1) * h)
     certified = certified_kernel(g, higham_gamma(4) * (4.0 * f + 2.0) + d * (2.0 + d),
                                  residual, _sum_symbol_floor(p))
     del g  # before the eigenvalues of any sample are taken

@@ -1,8 +1,10 @@
 """Every public top-level function or class of the package is reached from
-the package itself, or is listed below with the reason it stays.
+the package itself, or is listed below with the reason it stays; every
+private one (``_``-prefixed) is reached, with no list.
 
 A name counts as reached when some module other than ``__init__`` holds a
-``Name`` or ``Attribute`` node spelling it; an export alone does not count.
+``Name`` or ``Attribute`` node spelling it; an export alone does not count,
+nor does a use in the tests.
 """
 
 import ast
@@ -22,15 +24,17 @@ UNREACHED = {
 }
 
 
-def _surface():
-    """(public top-level names with their module, names referenced)."""
+def _surface(private=False):
+    """(public, or private, top-level names with their module, names
+    referenced)."""
     defined, referenced = {}, set()
     for path in sorted(SOURCE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private):
                 defined[node.name] = path.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -52,3 +56,10 @@ def test_every_listed_name_is_defined_and_unreached():
     defined, referenced = _surface()
     stale = sorted(name for name in UNREACHED if name not in defined or name in referenced)
     assert not stale, f"stale entries: {stale}"
+
+
+def test_every_private_name_is_reached():
+    defined, referenced = _surface(private=True)
+    assert len(defined) > 20  # the scan sees the private helpers at all
+    unreached = {name: module for name, module in defined.items() if name not in referenced}
+    assert not unreached, f"private names nothing in the package reaches: {unreached}"

@@ -662,6 +662,22 @@ def test_spectrum_check_exits_2_with_the_summary(monkeypatch, capsys):
     assert captured.err == "invariant violation: eigenvalue off the unit circle beyond 1e-8\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_spectrum_check_exits_2_with_the_summary_in_its_format(fmt, monkeypatch, capsys):
+    # the failing report is printed in the format asked for, as a passing
+    # one would be
+    summary = spectral.spectrum(berezin_lab.fourier_matrix(3))
+    summary.eigenvalues[0] *= 1 + 1e-7
+    monkeypatch.setattr(cli, "spectrum", lambda u: summary)
+    assert main(["spectrum", "--family", "fourier", "--n", "3", "--format", fmt]) == 2
+    failing = capsys.readouterr()
+    assert failing.err == "invariant violation: eigenvalue off the unit circle beyond 1e-8\n"
+    monkeypatch.setattr(summary, "check", lambda: None)
+    assert main(["spectrum", "--family", "fourier", "--n", "3", "--format", fmt]) == 0
+    assert failing.out == capsys.readouterr().out
+    assert failing.out.startswith("re,im,modulus,cluster_id\n" if fmt == "csv" else "n = 3\n")
+
+
 def test_f4_cayley_point_counts_its_exact_kernel(tmp_path, capsys):
     """u = F4 (I + eps A)^-1 (I - eps A) at eps = 1.2e-5, A the skew part of
     a seeded Gaussian-integer matrix: its exact kernel is 7, and its eighth

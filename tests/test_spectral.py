@@ -707,16 +707,34 @@ def sum_symbol_basis(m):
     return np.delete(sum_symbols(m), m.shape[-1], axis=1)
 
 
+def certificate_residuals(m):
+    """The residual _multiplicity hands certified_kernel for each matrix of
+    the stack m, an upper bound on ||(S(u) - I) V'||_F, with the
+    factorization and every eigenvalue skipped."""
+    seen = []
+
+    def recorded(g, slack, residual, floor):
+        seen.append(residual)
+        return np.ones(len(g), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "certified_kernel", recorded)
+        spectral._multiplicity(m)
+    return seen[0]
+
+
 def sum_symbol_residual(u):
-    """||(S - I) V'||_F as the certificate takes it."""
-    m = u.matrix[np.newaxis]
-    return spectral._sum_symbol_residual(standardized_matrix(m), np.abs(m))[0]
+    """||(S - I) V'||_F as the certificate takes it, from u u* and u* u."""
+    return certificate_residuals(u.matrix[np.newaxis])[0]
 
 
 class TestSumSymbolsAreFixed:
     """The premise of the certificate: S fixes the 2n - 1 sum symbols to
     rounding, ||(S - I) V'||_F far below CLUSTER_TOL sigma_min(V'), on
-    every input the tool meets."""
+    every input the tool meets.  The residual is a bound with its own
+    rounding term, sqrt(1 + d) gamma_{2n+1} h as in _multiplicity: the
+    bound is 8.5e-14 at most over 3,000 Haar samples at n = 16, and
+    9.7e-14 for F_16."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
@@ -736,15 +754,13 @@ class TestSumSymbolsAreFixed:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_residual_is_the_dense_norm(self, n):
-        # on a complex symmetric S that fixes nothing, and weights that are
-        # no unitary's, the block sums give the dense ||(S - I) V'||_F
+        # on a u that is no unitary, whose S fixes nothing, the closed form
+        # from u u* and u* u gives the dense ||(S - I) V'||_F
         rng = np.random.default_rng([45, n])
-        a = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-        w = rng.uniform(0.1, 1.0, (n, n))
-        v = sum_symbol_basis(w)
-        dense = np.linalg.norm((a + a.T) @ v - v)
-        residual = spectral._sum_symbol_residual((a + a.T)[np.newaxis], w[np.newaxis])
-        np.testing.assert_allclose(residual, [dense], rtol=1e-13)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = sum_symbol_basis(m)
+        dense = np.linalg.norm(standardized_matrix(m) @ v - v)
+        np.testing.assert_allclose(certificate_residuals(m[np.newaxis]), [dense], rtol=1e-13)
 
     @pytest.mark.parametrize("u", [
         *(haar_random_unitary(n, seed=[46, n]) for n in range(1, 17)),
@@ -854,8 +870,13 @@ class TestClosedFormGram:
 class TestNearDirectSum:
     """Near a direct sum U_1 (+) U_2, P = |u|^2 has a second singular value
     near 1, and V V^T an eigenvalue 1 - sigma_2(P) of order eps^2 on the
-    sum symbols: below the shift the certificate fails, and the
-    eigenvalues of S count 2n - 1."""
+    sum symbols, as is the floor on sigma_min(V')^2: below the shift, or
+    once the residual's bound, rounding term included, exceeds
+    CLUSTER_TOL sqrt(floor), the certificate fails, and the eigenvalues of
+    S count 2n - 1.  Measured on a grid of 40 points a decade, the
+    certificate declines below eps = 7.9e-7 for 2 + 2, 3.0e-6 for 3 + 5
+    and 8.4e-6 for 8 + 8 (3.0e-7, 7.1e-7 and 1.9e-6 before the residual
+    took its rounding term)."""
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 5), (8, 8)], ids=str)
