@@ -40,9 +40,10 @@ RESIDUAL_TOL = 1e-10
 PENCIL_ANGLE = 0.5
 _UNIT_ROUNDOFF = 2.0**-53  # of float64
 # a bound on the relative error of an entry of S, as standardized_matrix
-# rounds it, in units of the roundoff: Higham's bounds for |u|, the complex
-# division |u| / u and two complex products add to 13 (measured: under 8)
-_ENTRY_ROUNDINGS = 16
+# rounds it, in units of the roundoff: each of its two factors p u takes
+# |u| (2), the complex division |u| / u (sqrt(2) gamma_4, 6) and a complex
+# product (sqrt(2) gamma_2, 3), and their product 3 more (measured: under 8)
+_ENTRY_ROUNDINGS = 25
 
 
 class InvariantViolation(Exception):
@@ -234,12 +235,19 @@ def _sum_symbol_floor(p: np.ndarray) -> np.ndarray:
     P' its columns l = 1..n-1 and c' their sums, so its least eigenvalue is
     at least min(r, c') - sigma_1(P'); sigma_1(P')^2, the largest eigenvalue
     of the nonnegative P'^T P', is at most its largest row sum, the largest
-    entry of P'^T P' 1.  For the Fourier matrix the bound is exact,
-    1 - sqrt(1 - 1/n)."""
+    entry of P'^T P' 1.  For the Fourier matrix the bound is exact, less
+    its rounding term, which keeps it at most sigma_min(V')^2 of the float u."""
     rest = p[..., 1:]
     spread = rest.sum(axis=-1)[..., np.newaxis, :] @ rest
     least = np.concatenate([p.sum(axis=-1), rest.sum(axis=-2)], axis=-1).min(axis=-1)
-    return least - np.sqrt(spread.max(axis=(-2, -1), initial=0.0))
+    root = np.sqrt(spread.max(axis=(-2, -1), initial=0.0))
+    # relative to the exact |u|^2, p = fl(fl(|u|)^2) errs by gamma_5 (|u|
+    # within one ulp), the sums by gamma_{n+4}, P'^T P' 1 by gamma_{2n+8} and
+    # its root by gamma_{2n+9}, so least - root errs by gamma_{2n+10}
+    # (least + root); three more units cover the two subtractions and the
+    # rounding of the term.  It matters near a direct sum, where least - root
+    # cancels to order eps^2.
+    return least - root - higham_gamma(2 * p.shape[-1] + 13) * (least + root)
 
 
 def _multiplicity(m: np.ndarray) -> tuple[list, list]:
@@ -266,13 +274,14 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     adds to it at most two rounded products and, on the diagonal, 2, which
     round it by at most gamma_4 times 2 |X| + V V^T + 2 I, of norm at most
     2 ||S||_F + tr(V V^T) + 2 = 4 f + 2, f = ||u||_F^2.  The S at hand
-    differs from S(u) by at most gamma_16 f in norm (_ENTRY_ROUNDINGS).
+    differs from S(u) by at most gamma_25 f in norm (_ENTRY_ROUNDINGS).
     S(u)* S(u) = conj(D) ((u u*)^T (x) u* u) D with D = diag(|u| / u), so
     ||S(u)* S(u) - I||_2 <= delta (2 + delta), delta = ||u* u - I||_2.
-    If fl(u* u) errs by at most gamma_{2n} f (so if h <= sqrt(2) f, h as
-    below), d = ||fl(u* u) - I||_F + gamma_{2n+16} f >= delta + gamma_16 f,
+    fl(u* u) errs by gamma_{2n} h / sqrt(2) in norm, h as below, so
+    d = ||fl(u* u) - I||_F (1 + gamma_{n^2+4}) + gamma_{2n+1} h / sqrt(2)
+    + gamma_25 f >= delta + gamma_25 f, with the norm's rounding and h's,
     and the slack gamma_4 (4 f + 2) + d (2 + d) covers all three, as
-    d (2 + d) >= delta (2 + delta) + 2 gamma_16 f.  For a unitary u,
+    d (2 + d) >= delta (2 + delta) + 2 gamma_25 f.  For a unitary u,
     tr g = 2 n^2, and the square root of the shift is 5.5e-6 at n = 16.
 
     The residual, with no pass over S.  With p = |u| / u, S(u) W R e_k'
@@ -308,12 +317,12 @@ def _multiplicity(m: np.ndarray) -> tuple[list, list]:
     f = np.sum(p, axis=(-2, -1))
     mh = np.swapaxes(m.conj(), -1, -2)
     uu, uhu = m @ mh, mh @ m
-    d = (np.linalg.norm(uhu - np.eye(n), axis=(-2, -1))
-         + higham_gamma(2 * n + _ENTRY_ROUNDINGS) * f)
-    rows, cols = (np.einsum("skk,skj->sk", a.real, np.abs(a - np.eye(n)) ** 2) for a in (uu, uhu))
     re, im = np.abs(m.real), np.abs(m.imag)
     h = np.hypot(*(np.linalg.norm(x @ np.swapaxes(x, -1, -2), axis=(-2, -1))
                    for x in (re + im, re - im)))
+    d = (np.linalg.norm(uhu - np.eye(n), axis=(-2, -1)) * (1.0 + higham_gamma(n * n + 4))
+         + higham_gamma(2 * n + 1) * h / math.sqrt(2.0) + higham_gamma(_ENTRY_ROUNDINGS) * f)
+    rows, cols = (np.einsum("skk,skj->sk", a.real, np.abs(a - np.eye(n)) ** 2) for a in (uu, uhu))
     residual = (np.sqrt(rows.sum(axis=-1) + cols[:, 1:].sum(axis=-1))
                 + np.sqrt(1.0 + d) * higham_gamma(2 * n + 1) * h)
     certified = certified_kernel(g, higham_gamma(4) * (4.0 * f + 2.0) + d * (2.0 + d),

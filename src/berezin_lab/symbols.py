@@ -55,13 +55,17 @@ class WeightedSpace:
 def c_symbol_to_operator(u: Unitary, f: np.ndarray) -> np.ndarray:
     """x[k, k'] = sum_l u[k, l] f[k, l] conj(u[k', l])."""
     f = _check_same_shape(u, f)
-    return (u.matrix * f) @ u.matrix.conj().T
+    # a stack of s symbols is one GEMM of its (s n, n) rows by u*
+    return ((u.matrix * f).reshape(-1, u.n) @ u.matrix.conj().T).reshape(f.shape)
 
 
 def d_symbol_to_operator(u: Unitary, f: np.ndarray) -> np.ndarray:
     """y[k, k'] = sum_l u[k, l] f[k', l] conj(u[k', l])."""
     f = _check_same_shape(u, f)
-    return u.matrix @ np.swapaxes(f * np.conj(u.matrix), -1, -2)
+    # y^T = (f o conj(u)) u^T: one GEMM of the stacked rows, and y is its
+    # transposed view, with no copy
+    yt = (f * np.conj(u.matrix)).reshape(-1, u.n) @ u.matrix.T
+    return np.swapaxes(yt.reshape(f.shape), -1, -2)
 
 
 def operator_to_c_symbol(u: Unitary, x: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .symbols import (
 
 
 def unit_root(n: int, k) -> complex | np.ndarray:
-    """exp(2 pi i k / n); k may be an integer or an array of exponents."""
-    return np.exp(2j * np.pi * np.asarray(k) / n)
+    """exp(2 pi i k / n) for integer exponents k, read at k mod n from a table of n."""
+    return np.exp(2j * np.pi * np.arange(n) / n).take(k, mode="wrap")
 
 
 def fourier_matrix(n: int) -> Unitary:
@@ -53,14 +53,14 @@ def symmetric_family_matrix(n: int, theta: complex) -> Unitary:
     return validate_unitary(m)
 
 
-def phase_operator(n: int, r: int) -> np.ndarray:
-    """Diagonal multiplication by exp(2 pi i r k / n)."""
-    return np.diag(unit_root(n, r * np.arange(n)))
+def phase_operator(n: int, r) -> np.ndarray:
+    """Diagonal multiplication by exp(2 pi i r k / n), or their stack for an array of r."""
+    return np.eye(n) * unit_root(n, np.asarray(r)[..., np.newaxis] * np.arange(n))[..., np.newaxis]
 
 
-def shift_operator(n: int, r: int) -> np.ndarray:
-    """(Z_r phi)[k] = phi[k + r] (indices mod n)."""
-    return np.eye(n)[(np.arange(n) + r) % n]
+def shift_operator(n: int, r) -> np.ndarray:
+    """(Z_r phi)[k] = phi[k + r] (indices mod n), or their stack for an array of r."""
+    return np.eye(n)[(np.arange(n) + np.asarray(r)[..., np.newaxis]) % n]
 
 
 def check_weyl_relations(n: int) -> float:
@@ -70,8 +70,8 @@ def check_weyl_relations(n: int) -> float:
     f = fourier_matrix(n).matrix
     fh = f.conj().T
     k = np.arange(n)
-    w = np.stack([phase_operator(n, r) for r in k])  # W_r at [r]
-    z = np.stack([shift_operator(n, s) for s in k])  # Z_s at [s]
+    w = phase_operator(n, k)  # W_r at [r]
+    z = shift_operator(n, k)  # Z_s at [s]
     eps = unit_root(n, np.outer(k, k))[..., np.newaxis, np.newaxis]  # eps(rs) at [s, r]
     return float(max(
         np.max(np.abs(fh @ w @ f - z[-k % n])),
@@ -124,9 +124,9 @@ def all_shifts(f: np.ndarray) -> np.ndarray:
     result[s, t, k, l] = f[k+t, l-s] (indices mod n)."""
     n = f.shape[0]
     i = np.arange(n)
-    rows = (i[:, np.newaxis] + i) % n  # [t, k] -> k + t
-    cols = (i - i[:, np.newaxis]) % n  # [s, l] -> l - s
-    return f[rows[np.newaxis, :, :, np.newaxis], cols[:, np.newaxis, np.newaxis, :]]
+    cols = f.take((i - i[:, np.newaxis]) % n, axis=1)  # [k, s, l] -> f[k, l - s]
+    # gathering along the view's axis 1 writes one contiguous [s, t, k, l]
+    return cols.swapaxes(0, 1).take((i[:, np.newaxis] + i) % n, axis=1)
 
 
 def check_permutation_equivariance(

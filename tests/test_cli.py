@@ -351,6 +351,14 @@ class TestVerifyAllCommand:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_fourier_rows_are_at_rounding_level(self, capsys):
+        # every root comes from one table of n, exactly n-periodic; one
+        # exponential per entry read 3.4e-14, 1.3e-13 and 1.1e-13 here
+        assert main(["verify-all", "--n", "24", "--seed", "3", "--format", "json"]) == 0
+        rows = {r["check"]: r["deviation"] for r in json.loads(capsys.readouterr().out)}
+        fourier_rows = ("weyl", "fourier-eigenfunctions", "fourier-shifts")
+        assert max(rows[name] for name in fourier_rows) <= 2e-14
+
     def test_json_format(self, capsys):
         assert main(["verify-all", "--n", "2", "--format", "json", "--seed", "3"]) == 0
         rows = json.loads(capsys.readouterr().out)

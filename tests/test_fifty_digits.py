@@ -6,7 +6,8 @@ mpmath (a test-only dependency).  For any u with nonzero entries,
                             + sum_{l>0} (u* u)_ll ||e_l^T F||^2,
 
 and the residual _multiplicity hands certified_kernel must never lie below
-its exact value for the float input."""
+its exact value for the float input, nor the floor it hands with it above
+its exact value."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mpmath import mp
 
 from berezin_lab import haar_random_unitary
 from berezin_lab.symmetry import fourier_matrix, symmetric_family_matrix
-from test_spectral import certificate_residuals, near_direct_sum
+from test_spectral import certificate_arguments, near_direct_sum
 
 DIGITS = 50
 
@@ -104,7 +105,7 @@ RESIDUAL_INPUTS = dict(residual_inputs())
 @pytest.mark.parametrize("name", RESIDUAL_INPUTS)
 def test_residual_bounds_the_exact_value(name):
     m = RESIDUAL_INPUTS[name]
-    residual = certificate_residuals(m[np.newaxis])[0]
+    residual = certificate_arguments(m[np.newaxis])[0][0]
     with mp.workdps(DIGITS):
         exact_value = closed_form(exact(m))
     # the float closed form alone, with no rounding term, falls below the
@@ -112,3 +113,37 @@ def test_residual_bounds_the_exact_value(name):
     assert mp.mpf(float(residual)) >= exact_value
     # and the exact value is rounding, far below CLUSTER_TOL sigma_min(V')
     assert exact_value < 1e-13
+
+
+def exact_floor(u):
+    """_sum_symbol_floor's closed form min(r, c') - sqrt(max P'^T P' 1) from
+    the exact P = |u|^2 of the float u, at the working precision."""
+    n = len(u)
+    p = [[z.real ** 2 + z.imag ** 2 for z in row] for row in u]
+    rows = [mp.fsum(row) for row in p]
+    cols = [mp.fsum(p[k][l] for k in range(n)) for l in range(1, n)]
+    rest = [mp.fsum(row[1:]) for row in p]
+    spread = [mp.fsum(rest[k] * p[k][l] for k in range(n)) for l in range(1, n)]
+    return min(rows + cols) - mp.sqrt(max(spread, default=mp.zero))
+
+
+def floor_inputs():
+    """(name, matrix) of every input the floor's bound is held to."""
+    yield from ((f"haar{n}", haar_random_unitary(n, seed=[56, n]).matrix) for n in range(1, 17))
+    yield from ((f"F{n}", fourier_matrix(n).matrix) for n in range(1, 17))
+    yield from ((f"{a}+{b} eps={eps:g}", near_direct_sum(a, b, eps).matrix)
+                for a, b in ((2, 6), (8, 8), (2, 2), (3, 5)) for eps in 10.0 ** -np.arange(4, 8))
+
+
+FLOOR_INPUTS = dict(floor_inputs())
+
+
+@pytest.mark.parametrize("name", FLOOR_INPUTS)
+def test_floor_is_at_most_the_exact_value(name):
+    # near a direct sum min(r, c') - sqrt(spread) cancels to order eps^2,
+    # and the float closed form alone rounded above the exact value at
+    # 2+6, eps = 1e-5 and 8+8, eps = 1e-4
+    m = FLOOR_INPUTS[name]
+    floor = certificate_arguments(m[np.newaxis])[1][0]
+    with mp.workdps(DIGITS):
+        assert mp.mpf(float(floor)) <= exact_floor(exact(m))

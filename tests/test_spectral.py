@@ -707,14 +707,15 @@ def sum_symbol_basis(m):
     return np.delete(sum_symbols(m), m.shape[-1], axis=1)
 
 
-def certificate_residuals(m):
-    """The residual _multiplicity hands certified_kernel for each matrix of
-    the stack m, an upper bound on ||(S(u) - I) V'||_F, with the
-    factorization and every eigenvalue skipped."""
+def certificate_arguments(m):
+    """The residual and the floor _multiplicity hands certified_kernel for
+    each matrix of the stack m, an upper bound on ||(S(u) - I) V'||_F and
+    a lower bound on sigma_min(V')^2, with the factorization and every
+    eigenvalue skipped."""
     seen = []
 
     def recorded(g, slack, residual, floor):
-        seen.append(residual)
+        seen.append((residual, floor))
         return np.ones(len(g), dtype=bool)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -725,7 +726,7 @@ def certificate_residuals(m):
 
 def sum_symbol_residual(u):
     """||(S - I) V'||_F as the certificate takes it, from u u* and u* u."""
-    return certificate_residuals(u.matrix[np.newaxis])[0]
+    return certificate_arguments(u.matrix[np.newaxis])[0][0]
 
 
 class TestSumSymbolsAreFixed:
@@ -760,7 +761,7 @@ class TestSumSymbolsAreFixed:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         v = sum_symbol_basis(m)
         dense = np.linalg.norm(standardized_matrix(m) @ v - v)
-        np.testing.assert_allclose(certificate_residuals(m[np.newaxis]), [dense], rtol=1e-13)
+        np.testing.assert_allclose(certificate_arguments(m[np.newaxis])[0], [dense], rtol=1e-13)
 
     @pytest.mark.parametrize("u", [
         *(haar_random_unitary(n, seed=[46, n]) for n in range(1, 17)),

@@ -104,14 +104,19 @@ class TestSymbolToOperator:
             )
 
 
+def berezin_apply(u, f):
+    return build_berezin(u).apply(f)
+
+
 SYMBOL_MAPS = [c_symbol_to_operator, d_symbol_to_operator,
                operator_to_c_symbol, operator_to_d_symbol]
 
 
 class TestStackedMaps:
-    """The four maps take stacks of symbols or operators along leading axes."""
+    """The four maps and the Berezin transform take stacks of symbols or
+    operators along leading axes."""
 
-    @pytest.mark.parametrize("fn", SYMBOL_MAPS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", SYMBOL_MAPS + [berezin_apply], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stack_equals_single_calls_bit_for_bit(self, fn, n):
         rng = np.random.default_rng([24, n])

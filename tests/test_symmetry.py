@@ -51,9 +51,27 @@ class TestFourierMatrix:
         np.testing.assert_allclose(np.abs(fourier_matrix(5).matrix), 1 / np.sqrt(5), atol=1e-14)
 
 
+class TestUnitRoot:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 64])
+    def test_exactly_periodic(self, n):
+        k = np.arange(-n, 2 * n)
+        for j in range(-2, 4):
+            assert np.array_equal(unit_root(n, k + j * n), unit_root(n, k))
+            assert unit_root(n, 1 + j * n) == unit_root(n, 1)
+
+
 class TestWeylRelations:
     def test_n1_exact(self):
         assert check_weyl_relations(1) == 0.0
+
+    @pytest.mark.parametrize("op", [phase_operator, shift_operator], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stack_equals_single_calls_bit_for_bit(self, op, n):
+        r = np.array([[0, 1, -2], [n, 2 * n + 1, 5]])
+        out = op(n, r)
+        assert out.shape == (2, 3, n, n)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], op(n, int(r[idx])))
 
     def test_n2_pair(self):
         w1, z1 = phase_operator(2, 1), shift_operator(2, 1)
