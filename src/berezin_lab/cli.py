@@ -329,14 +329,19 @@ def _verify_checks(n, theta, tol, seed):
                                 - standardized_matrix(u.matrix)))
     yield "berezin-consistency", float(consistency), limit(1e-9)
 
-    yield "weyl", check_weyl_relations(n), limit(1e-12)
-    yield "fourier-eigenfunctions", fourier_eigenfunction_check(n), limit(1e-9)
-    yield "fourier-shifts", check_shift_commutation(n, 3, rng.integers(2**63)), limit(1e-10)
+    # each family's matrix is built and validated once, for all its checks
+    fourier = fourier_matrix(n)
+    yield "weyl", check_weyl_relations(n, fourier), limit(1e-12)
+    yield "fourier-eigenfunctions", fourier_eigenfunction_check(n, fourier), limit(1e-9)
+    shifts = check_shift_commutation(n, 3, rng.integers(2**63), fourier)
+    yield "fourier-shifts", shifts, limit(1e-10)
 
     if n >= 3:
-        equi = check_permutation_equivariance(n, theta, 10, rng.integers(2**63))
+        family = symmetric_family_matrix(n, theta)
+        equi = check_permutation_equivariance(n, theta, 10, rng.integers(2**63), family)
         yield "permutation-equivariance", equi, limit(1e-10)
-        yield "spectrum-table", (0.0 if verify_symmetric_family_spectrum(n, theta) else 1.0), 0.5
+        table = verify_symmetric_family_spectrum(n, theta, family)
+        yield "spectrum-table", (0.0 if table else 1.0), 0.5
 
 
 def cmd_verify_all(args) -> int:

@@ -21,6 +21,8 @@ eigenvalues that count.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +46,14 @@ _UNIT_ROUNDOFF = 2.0**-53  # of float64
 # |u| (2), the complex division |u| / u (sqrt(2) gamma_4, 6) and a complex
 # product (sqrt(2) gamma_2, 3), and their product 3 more (measured: under 8)
 _ENTRY_ROUNDINGS = 25
+# the least order p of the matrices certified_kernel factors one by one, in
+# place, with LAPACK's dpotrf, in place of one batched np.linalg.cholesky of
+# the stack.  Measured on one OpenBLAS thread, for stacks of a sweep chunk's
+# size at each n (3,138 samples at n = 3, one from n = 19): the batched call
+# is faster below p = 42, 3 to 10 times at p = 6 to 16; the two are about
+# even from p = 42 to 64; the direct one is faster from p = 72 up, 1.2 to
+# 1.6 times to p = 90 and 1.4 to 2.9 times from p = 100
+DIRECT_FACTOR_MIN_P = 72
 
 
 class InvariantViolation(Exception):
@@ -191,26 +201,74 @@ def certified_kernel(g: np.ndarray, slack, residual, floor) -> np.ndarray:
     at most r singular values below CLUSTER_TOL.  And residual^2 below
     CLUSTER_TOL^2 floor bounds |T x| below CLUSTER_TOL for every unit x
     that K spans, so T has r of them, exactly r.  A floor at or below 0
-    certifies nothing.  The stack is factored in one call, and each sample
-    of a larger stack on its own only when that call fails."""
+    certifies nothing.
+
+    From p = DIRECT_FACTOR_MIN_P up, where NumPy binds its LAPACK's dpotrf
+    (_dpotrf), each sample is factored on its own, in place, and its flag
+    is its own call's.  Below, or without that binding, the stack is
+    factored in one np.linalg.cholesky, and each sample of a larger stack
+    on its own only when that call fails.  Both paths run the same dpotrf
+    on the same triangle of g, so their flags agree."""
     p = g.shape[-1]
     rump = higham_gamma(p + 1)
     trace = np.trace(g, axis1=-2, axis2=-1)
     shift = 2.0 * ((rump / (1.0 - rump) + _UNIT_ROUNDOFF) * trace + slack) + CLUSTER_TOL**2
     diag = np.arange(p)
     g[:, diag, diag] -= shift[:, np.newaxis]
-    factored = np.ones(len(g), dtype=bool)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        factored[:] = False
-        for i in range(len(g) if len(g) > 1 else 0):  # a stack of one has failed already
-            try:
-                np.linalg.cholesky(g[i])
-                factored[i] = True
-            except np.linalg.LinAlgError:
-                pass
+    dpotrf = _dpotrf() if p >= DIRECT_FACTOR_MIN_P else None
+    if dpotrf is not None:
+        factored = np.array([_cholesky(g[i:i + 1], dpotrf) for i in range(len(g))], dtype=bool)
+    else:
+        factored = np.full(len(g), _cholesky(g))
+        if not factored.all() and len(g) > 1:  # a stack of one has failed already
+            factored = np.array([_cholesky(sample) for sample in g], dtype=bool)
     return factored & (residual**2 < CLUSTER_TOL**2 * floor)
+
+
+def _cholesky(a: np.ndarray, dpotrf=None) -> bool:
+    """Whether the Cholesky factorization of a, a p x p matrix or a stack of
+    them, runs to completion for every matrix: the package's one
+    factorization.  With dpotrf, as _dpotrf returns it, a is a C-ordered
+    stack of one, factored in place; without, np.linalg.cholesky leaves a
+    as it was."""
+    if dpotrf is not None:
+        return dpotrf(a)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@functools.cache
+def _dpotrf():
+    """Once per process, on first use: the dpotrf of the LAPACK NumPy's
+    linalg links, as a function that factors a C-ordered float64 matrix in
+    place and says whether it ran to completion; None where NumPy names it
+    otherwise, as a NumPy built on another LAPACK or with 32-bit integers
+    does.  It is called with uplo 'L' on the C-ordered buffer, which reads
+    the upper triangle of the matrix and runs the same algorithm as
+    np.linalg.cholesky, which calls it with 'L' on a Fortran-ordered copy:
+    on a bitwise symmetric matrix the factor is the same to the bit."""
+    try:
+        from numpy.linalg import _umath_linalg
+        dpotrf = ctypes.CDLL(_umath_linalg.__file__).scipy_dpotrf_64_
+    except (ImportError, OSError, AttributeError):  # no such module, library or symbol
+        return None
+    ref = ctypes.POINTER(ctypes.c_int64)
+    dpotrf.argtypes = (ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref)
+    dpotrf.restype = None
+
+    def factor(a: np.ndarray) -> bool:
+        p = a.shape[-1]
+        if not (a.size == p * p and a.flags.c_contiguous and a.flags.writeable
+                and a.dtype == np.float64):
+            raise ValueError("dpotrf factors one writable C-ordered float64 matrix in place")
+        order, info = ctypes.c_int64(p), ctypes.c_int64()
+        dpotrf(b"L", ctypes.byref(order), a.ctypes.data, ctypes.byref(order), ctypes.byref(info))
+        return info.value == 0
+
+    return factor
 
 
 def _add_sum_symbol_term(g: np.ndarray, w: np.ndarray) -> None:

@@ -63,11 +63,12 @@ def shift_operator(n: int, r) -> np.ndarray:
     return np.eye(n)[(np.arange(n) + np.asarray(r)[..., np.newaxis]) % n]
 
 
-def check_weyl_relations(n: int) -> float:
+def check_weyl_relations(n: int, fourier: Unitary | None = None) -> float:
     """Max deviation over all (r, s) of the commutation relation
     Z_s W_r = eps(rs) W_r Z_s, together with the Fourier conjugations
-    F* W_r F = Z_{-r} and F* Z_r F = W_r."""
-    f = fourier_matrix(n).matrix
+    F* W_r F = Z_{-r} and F* Z_r F = W_r.  fourier, if given, is
+    fourier_matrix(n)."""
+    f = (fourier or fourier_matrix(n)).matrix
     fh = f.conj().T
     k = np.arange(n)
     w = phase_operator(n, k)  # W_r at [r]
@@ -88,11 +89,12 @@ def character_symbol(n: int, r, s) -> np.ndarray:
     return unit_root(n, np.asarray(r) * k[:, np.newaxis] + np.asarray(s) * k)
 
 
-def fourier_eigenfunction_check(n: int) -> float:
+def fourier_eigenfunction_check(n: int, fourier: Unitary | None = None) -> float:
     """How far each character symbol is from an eigenfunction of the
     Fourier Berezin transform with the predicted unit-root eigenvalue: the
-    worst weighted-norm residual.  The caller judges it."""
-    u = fourier_matrix(n)
+    worst weighted-norm residual.  The caller judges it.  fourier, if
+    given, is fourier_matrix(n)."""
+    u = fourier or fourier_matrix(n)
     space = WeightedSpace.from_unitary(u)
     r, s = np.indices((n, n))[..., np.newaxis, np.newaxis]
     chars = character_symbol(n, r, s)  # [r, s, k, l]
@@ -130,13 +132,14 @@ def all_shifts(f: np.ndarray) -> np.ndarray:
 
 
 def check_permutation_equivariance(
-    n: int, theta: complex, trials: int, seed
+    n: int, theta: complex, trials: int, seed, family: Unitary | None = None
 ) -> float:
     """For random permutations sigma and random symbols f on the symmetric
     family: both symbol-to-operator maps must intertwine conjugation by the
     permutation operator with the index action on symbols, and the Berezin
-    transform must commute with that action.  Returns the max deviation."""
-    u = symmetric_family_matrix(n, theta)
+    transform must commute with that action.  Returns the max deviation.
+    family, if given, is symmetric_family_matrix(n, theta)."""
+    u = family or symmetric_family_matrix(n, theta)
     b = build_berezin(u)
     rng = np.random.default_rng(seed)
     draws = [(rng.permutation(n), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -152,10 +155,11 @@ def check_permutation_equivariance(
     ))
 
 
-def check_shift_commutation(n: int, trials: int, seed) -> float:
+def check_shift_commutation(n: int, trials: int, seed, fourier: Unitary | None = None) -> float:
     """The Fourier Berezin transform commutes with all n^2 translations of
-    the symbol grid; returns the max deviation over random symbols."""
-    u = fourier_matrix(n)
+    the symbol grid; returns the max deviation over random symbols.
+    fourier, if given, is fourier_matrix(n)."""
+    u = fourier or fourier_matrix(n)
     b = build_berezin(u)
     rng = np.random.default_rng(seed)
     dev = 0.0
@@ -241,7 +245,8 @@ def predicted_clusters(n: int, theta: complex) -> list[tuple[complex, int]]:
     ]
 
 
-def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
+def verify_symmetric_family_spectrum(n: int, theta: complex,
+                                     family: Unitary | None = None) -> bool:
     """Whether the Berezin spectrum of the symmetric family matches the five
     predicted clusters and the table of its isotypic blocks, and its kernel
     count the multiplicity 2n - 1 of 1.
@@ -250,11 +255,12 @@ def verify_symmetric_family_spectrum(n: int, theta: complex) -> bool:
     the one rule `cluster_eigenvalues` applies to every spectrum: the table
     holds when each group has as many computed members as predicted ones
     and as block-derived ones.  Values that collide fall into one group, and
-    empty predictions add no member.
+    empty predictions add no member.  family, if given, is
+    symmetric_family_matrix(n, theta).
     """
     if n < 3:
         raise ValueError("spectrum table needs n >= 3")
-    u = symmetric_family_matrix(n, theta)
+    u = family or symmetric_family_matrix(n, theta)
     summary = spectrum(u)
     values = [summary.eigenvalues]
     for table in (predicted_clusters(n, theta), isotypic_clusters(build_berezin(u))):

@@ -11,7 +11,7 @@ import pytest
 
 import berezin_lab
 from berezin_lab import haar_random_unitary, save_matrix
-from berezin_lab import cli, spectral, submersion
+from berezin_lab import cli, spectral, submersion, symmetry
 from berezin_lab.cli import main, parse_theta
 from berezin_lab.matrices import haar_unitary_stack
 from berezin_lab.spectral import standardized_matrix
@@ -336,9 +336,20 @@ class TestVerifyAllCommand:
         assert eighs == [(9, 9)]
         assert counts == []
 
+    def test_builds_each_family_matrix_once(self, monkeypatch, capsys):
+        # the Fourier matrix serves three checks and the symmetric family's
+        # two, each built and validated once
+        built = []
+        validate = symmetry.validate_unitary
+        monkeypatch.setattr(symmetry, "validate_unitary",
+                            lambda m, *args, **kwargs: built.append(m.shape)
+                            or validate(m, *args, **kwargs))
+        assert main(["verify-all", "--n", "4"]) == 0
+        assert built == [(4, 4), (4, 4)]
+
     def test_tol_override_keeps_the_spectrum_table_limit(self, monkeypatch, capsys):
         # the spectrum table is a yes/no row, and its limit stays 0.5
-        monkeypatch.setattr(cli, "verify_symmetric_family_spectrum", lambda n, theta: False)
+        monkeypatch.setattr(cli, "verify_symmetric_family_spectrum", lambda *args: False)
         rc = main(["verify-all", "--n", "4", "--tol-override", "2", "--format", "json"])
         rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
         assert rc == 2
@@ -774,10 +785,7 @@ def test_solver_failure_exits_2(solver, argv, monkeypatch, capsys):
 def test_failed_factorizations_fall_back(monkeypatch, capsys):
     # a Cholesky factorization that always fails leaves both counts to
     # their fallbacks, the SVD and the eigenvalues of S: same verdict
-    def fails(*args, **kwargs):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    monkeypatch.setattr(spectral, "_cholesky", lambda *args: False)
     assert main(["theorem-check", "--family", "haar", "--n", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["kernel_dim"], out["berezin_multiplicity_of_one"], out["theorem_holds"]) == (
@@ -788,10 +796,11 @@ def test_failed_factorizations_fall_back(monkeypatch, capsys):
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """The shapes of the matrices theorem-check hands to cholesky, svd, eigh
-    and qr, and the shapes of the stacks whose dense Jacobians it builds."""
-    calls = {"cholesky": [], "svd": [], "eigh": [], "qr": [], "_jacobians": []}
-    for module, name in [(np.linalg, "cholesky"), (np.linalg, "svd"), (np.linalg, "eigh"),
+    """The shapes of the matrices theorem-check hands to the package's one
+    factorization, spectral._cholesky, and to svd, eigh and qr, and the
+    shapes of the stacks whose dense Jacobians it builds."""
+    calls = {"_cholesky": [], "svd": [], "eigh": [], "qr": [], "_jacobians": []}
+    for module, name in [(spectral, "_cholesky"), (np.linalg, "svd"), (np.linalg, "eigh"),
                          (np.linalg, "qr"), (submersion, "_jacobians")]:
         def counted(a, *args, _run=getattr(module, name), _shapes=calls[name], **kwargs):
             _shapes.append(a.shape)
@@ -809,7 +818,7 @@ def test_certified_sample_builds_no_dense_jacobian(solver_calls, capsys):
     assert main(["theorem-check", "--family", "haar", "--n", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certified"] and out["berezin_certified"]
-    assert solver_calls == {"cholesky": [(1, 240, 240), (1, 256, 256)], "svd": [], "eigh": [],
+    assert solver_calls == {"_cholesky": [(1, 240, 240), (1, 256, 256)], "svd": [], "eigh": [],
                             "qr": [(1, 16, 16), (1, 240, 15)], "_jacobians": []}
 
 
@@ -819,7 +828,7 @@ def test_failed_certificate_builds_the_dense_jacobian_once(solver_calls, capsys)
     assert main(["theorem-check", "--family", "fourier", "--n", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert not out["certified"] and out["kernel_dim"] == 8
-    assert solver_calls == {"cholesky": [(1, 12, 12), (1, 16, 16)], "svd": [(1, 16, 16)],
+    assert solver_calls == {"_cholesky": [(1, 12, 12), (1, 16, 16)], "svd": [(1, 16, 16)],
                             "eigh": [(16, 16)], "qr": [(1, 12, 3)], "_jacobians": [(1, 4, 4)]}
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -504,15 +506,15 @@ class TestCertificate:
     fails; no path runs eigvalsh, and the certificate runs no QR."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, module=np.linalg):
         calls = []
-        solve = getattr(np.linalg, name)
+        solve = getattr(module, name)
 
         def counted(a, *args, **kwargs):
             calls.append(a.shape)
             return solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.fixture
@@ -525,7 +527,8 @@ class TestCertificate:
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
-        return self._count(monkeypatch, "cholesky")
+        # every factorization, on either path, goes through spectral._cholesky
+        return self._count(monkeypatch, "_cholesky", spectral)
 
     @pytest.fixture
     def orthonormalizations(self, monkeypatch):
@@ -625,9 +628,12 @@ def planted_stack(seed, p, count):
     """count random symmetric p x p matrices, each with one eigenvalue
     planted near CLUSTER_TOL^2 (log-uniform from 1e-18 to 1e-11, of either
     sign) and the others in [0.5, 2], and an upper bound on each one's
-    shift at slack 0."""
+    shift at slack 0.  Above p = 40 the top of the range grows as p^2, as
+    the shift does through (p + 2) tr g, so that some planted eigenvalues
+    still lie above twice the shift."""
     rng = np.random.default_rng([50, seed, p])
-    least = rng.choice([-1.0, 1.0, 1.0, 1.0], count) * 10.0 ** rng.uniform(-18.0, -11.0, count)
+    top = -11.0 + 2.0 * math.log10(max(p, 40) / 40)
+    least = rng.choice([-1.0, 1.0, 1.0, 1.0], count) * 10.0 ** rng.uniform(-18.0, top, count)
     q = np.linalg.qr(rng.standard_normal((count, p, p)))[0]
     values = np.concatenate([least[:, np.newaxis], rng.uniform(0.5, 2.0, (count, p - 1))], axis=1)
     g = (q * values[:, np.newaxis, :]) @ np.swapaxes(q, -1, -2)
@@ -642,9 +648,10 @@ class TestCertifiedKernel:
     certifies a matrix whose least eigenvalue lies below CLUSTER_TOL^2,
     always certifies one whose least eigenvalue is at least twice the
     shift, and never certifies a residual at or above CLUSTER_TOL
-    sqrt(floor)."""
+    sqrt(floor).  p from 72 up takes the direct path of the factorization
+    (DIRECT_FACTOR_MIN_P), the smaller p NumPy's batched call."""
 
-    @pytest.mark.parametrize("p", [1, 2, 5, 16, 40])
+    @pytest.mark.parametrize("p", [1, 2, 5, 16, 40, 72, 128, 256])
     @pytest.mark.parametrize("seed", range(6))
     def test_against_eigvalsh(self, p, seed):
         g, shift = planted_stack(seed, p, 12)
@@ -657,18 +664,21 @@ class TestCertifiedKernel:
             spectral.certified_kernel(g[i:i + 1].copy(), 0.0, np.zeros(1), 1.0)[0]
             for i in range(len(g))]
 
-    def test_the_planted_stacks_hold_both_cases(self):
-        # the oracle above is not vacuous: each case occurs in its stacks
+    @pytest.mark.parametrize("sizes, cases", [((1, 2, 5, 16, 40), 50), ((72, 128, 256), 10)],
+                             ids=["batched", "direct"])
+    def test_the_planted_stacks_hold_both_cases(self, sizes, cases):
+        # the oracle above is not vacuous: each case occurs in its stacks,
+        # on each path
         least, shifts = [], []
-        for p in (1, 2, 5, 16, 40):
+        for p in sizes:
             for seed in range(6):
                 g, shift = planted_stack(seed, p, 12)
                 least.append(np.linalg.eigvalsh(g)[:, 0])
                 shifts.append(shift)
         least, shifts = np.concatenate(least), np.concatenate(shifts)
-        assert (least < CLUSTER_TOL**2).sum() > 50
-        assert (least >= 2.0 * shifts).sum() > 50
-        assert ((CLUSTER_TOL**2 <= least) & (least < 2.0 * shifts)).sum() > 50
+        assert (least < CLUSTER_TOL**2).sum() > cases
+        assert (least >= 2.0 * shifts).sum() > cases
+        assert ((CLUSTER_TOL**2 <= least) & (least < 2.0 * shifts)).sum() > cases
 
     @pytest.mark.parametrize("residual, floor, certified", [
         (0.0, 1.0, True), (0.99 * CLUSTER_TOL, 1.0, True), (CLUSTER_TOL, 1.0, False),
@@ -689,6 +699,112 @@ class TestCertifiedKernel:
         results = [spectral.certified_kernel(g.copy(), slack, np.zeros(1), 1.0)[0]
                    for slack in (0.0, 4e-7, 6e-7)]
         assert results == [True, True, False]
+
+
+def gram_inputs(m):
+    """The (g, slack, residual, floor) that each side hands certified_kernel
+    for the stack of unitaries m, the Jacobian side's first, with g copied
+    before it is factored and the factorizations skipped."""
+    seen = []
+
+    def recorded(g, slack, residual, floor):
+        seen.append((g.copy(), slack, residual, floor))
+        return np.ones(len(g), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(submersion, "certified_kernel", recorded)
+        patch.setattr(spectral, "certified_kernel", recorded)
+        submersion._certify(m)
+        spectral._multiplicity(m)
+    return seen
+
+
+PATH_INPUTS = {
+    **{f"haar{n}": (lambda n=n: np.stack([haar_random_unitary(n, seed=[52, n, i]).matrix
+                                          for i in range(2)])) for n in range(10, 17)},
+    **{f"F{n}": (lambda n=n: fourier_matrix(n).matrix[np.newaxis]) for n in range(9, 17)},
+    **{f"{a}+{b} eps={eps}": (lambda a=a, b=b, eps=eps:
+                               near_direct_sum(a, b, eps).matrix[np.newaxis])
+       for a, b in ((3, 7), (5, 5), (8, 8)) for eps in (1e-2, 1e-5, 1e-7)},
+}
+
+
+class TestFactorizationPaths:
+    """certified_kernel factors each matrix from p = DIRECT_FACTOR_MIN_P up
+    on its own, in place, with the dpotrf NumPy links, and smaller ones in
+    one np.linalg.cholesky of the stack: the two paths give the same flags
+    on every stack either could meet."""
+
+    @staticmethod
+    def both_paths(monkeypatch, g, slack, residual, floor):
+        direct = spectral.certified_kernel(g.copy(), slack, residual, floor)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_dpotrf", lambda: None)  # as on a NumPy without it
+            batched = spectral.certified_kernel(g.copy(), slack, residual, floor)
+        return direct.tolist(), batched.tolist()
+
+    def test_this_numpy_binds_the_direct_path(self):
+        # NumPy's wheels link scipy-openblas with 64-bit integers, whose
+        # dpotrf is scipy_dpotrf_64_; elsewhere the probe may find none
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        if lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack.get(
+                "openblas configuration", ""):
+            assert spectral._dpotrf() is not None
+
+    def test_the_direct_call_refuses_what_it_cannot_factor_in_place(self):
+        dpotrf = spectral._dpotrf()
+        if dpotrf is None:
+            pytest.skip("this NumPy binds no dpotrf")
+        g = np.eye(4)[np.newaxis] * 2.0
+        read_only = g.copy()
+        read_only.flags.writeable = False
+        for a in (np.asfortranarray(g[0] + np.triu(np.ones((4, 4)))), g.astype(np.float32),
+                  read_only, np.concatenate([g, g])):
+            with pytest.raises(ValueError):
+                dpotrf(a)
+        assert dpotrf(g) and np.array_equal(g[0], np.sqrt(2.0) * np.eye(4))
+
+    def test_the_cut_over_splits_the_planted_sizes(self):
+        # TestCertifiedKernel's p = 72 to 256 run the direct path, and p up
+        # to 40 the batched one
+        assert 40 < spectral.DIRECT_FACTOR_MIN_P <= 72
+
+    @pytest.mark.parametrize("p", [72, 128, 256])
+    def test_planted_stacks(self, p, monkeypatch):
+        flags = []
+        for seed in range(6):
+            g, _ = planted_stack(seed, p, 12)
+            direct, batched = self.both_paths(monkeypatch, g, 0.0, np.zeros(len(g)), 1.0)
+            assert direct == batched
+            flags += direct
+        assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("name", PATH_INPUTS)
+    def test_both_sides_gram_matrices(self, name, monkeypatch):
+        for g, slack, residual, floor in gram_inputs(PATH_INPUTS[name]()):
+            assert g.shape[-1] >= spectral.DIRECT_FACTOR_MIN_P
+            # the direct path reads g's upper triangle, NumPy its lower one
+            np.testing.assert_array_equal(g, np.swapaxes(g, -1, -2))
+            direct, batched = self.both_paths(monkeypatch, g, slack, residual, floor)
+            assert direct == batched
+            # with uplo 'L' on the C-ordered buffer, the direct call leaves
+            # the transpose of NumPy's factor in g's upper triangle, to the bit
+            dpotrf = spectral._dpotrf()
+            if dpotrf is not None:
+                shifted = g[:1] + np.eye(g.shape[-1])
+                factor = np.linalg.cholesky(shifted[0])
+                assert dpotrf(shifted)
+                np.testing.assert_array_equal(np.triu(shifted[0]).T, factor)
+
+    def test_the_gram_inputs_hold_both_verdicts(self):
+        # the comparison above is not vacuous: each side certifies some
+        # inputs and declines others
+        jacobian, berezin = set(), set()
+        for make in PATH_INPUTS.values():
+            m = make()
+            jacobian.update(submersion._certify(m).tolist())
+            berezin.update(spectral._multiplicity(m)[1])
+        assert jacobian == berezin == {True, False}
 
 
 def sum_symbols(m):
@@ -790,19 +906,20 @@ def factored(m, monkeypatch):
     the stack of unitaries m, whether each one factored, and the counts
     and flags _multiplicity returns."""
     seen = []
-    cholesky = np.linalg.cholesky
+    cholesky = spectral._cholesky
 
-    def recorded(a):
-        try:
-            factor = cholesky(a)
-        except np.linalg.LinAlgError:
-            seen.append((a.copy(), False))
-            raise
-        seen.append((a.copy(), True))
-        return factor
+    def recorded(a, *args):
+        copy = a.copy()  # before the direct path factors a in place
+        ok = cholesky(a, *args)
+        seen.append((copy, ok))
+        return ok
 
-    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    monkeypatch.setattr(spectral, "_cholesky", recorded)
     result = spectral._multiplicity(m)
+    if len(seen[0][0]) != len(m):
+        # the direct path: each sample factored on its own, as a stack of one
+        return (np.concatenate([a for a, _ in seen]), np.array([ok for _, ok in seen]),
+                result)
     (stack, whole), samples = seen[0], [ok for _, ok in seen[1:]]
     # a failing stack of more than one sample is factored sample by sample
     return stack, np.array(samples if samples else [whole] * len(m)), result

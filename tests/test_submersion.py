@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from berezin_lab import matrices, submersion
+from berezin_lab import matrices, spectral, submersion
 from berezin_lab import (
     c_symbol_to_operator,
     d_symbol_to_operator,
@@ -279,14 +279,12 @@ class TestCholeskyCertificate:
                 report.theorem_holds) == (225, 31, 31, True)
 
     def test_failed_factorization_gives_the_svd_verdicts(self, monkeypatch):
-        inputs = [haar_random_unitary(n, seed=[24, n]) for n in (2, 3, 4, 8)]
+        # n = 12 reaches the direct path of the factorization on both sides
+        inputs = [haar_random_unitary(n, seed=[24, n]) for n in (2, 3, 4, 8, 12)]
         inputs += [fourier_matrix(4), symmetric_family_matrix(5, np.exp(-1j))]
         certified = [jacobian_report(u) for u in inputs]
 
-        def fails(*args, **kwargs):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        monkeypatch.setattr(spectral, "_cholesky", lambda *args: False)
         for u, before in zip(inputs, certified):
             after = jacobian_report(u)
             assert not after.certified and len(after.singular_values) == u.n**2
